@@ -28,8 +28,10 @@ from .experiments import (
     run_sweep,
 )
 from .extreme_points import (
+    BlockOptima,
     ExtremeSet,
     PursuitConfig,
+    block_optima,
     linear_scores,
     posterior_missed_mass,
     pursue,
@@ -76,6 +78,7 @@ from .nnls import NnlsSolution, kkt_residual, nnls_fit
 __version__ = "0.1.0"
 
 __all__ = [
+    "BlockOptima",
     "ExecutionTrace",
     "ExtremeSet",
     "FactorizeResult",
@@ -93,6 +96,7 @@ __all__ = [
     "WorkerSummary",
     "check_cap_bounds",
     "check_simplicial_lemmas",
+    "block_optima",
     "classify_rows",
     "condition_kappa",
     "count_passes",

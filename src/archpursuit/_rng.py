@@ -77,8 +77,10 @@ def gaussian_rows(seed: int, domain: int, first_row: int, n_rows: int, row_len: 
     """Standard-normal variant of :func:`uniform_rows` (same addressing)."""
     u = uniform_rows(seed, domain, first_row, n_rows, row_len)
     # u lies on the 2^-53 grid including 0; the half-ulp shift centres it in
-    # (0, 1) so ndtri never sees an endpoint.
-    return ndtri(u + 2.0 ** -54)
+    # (0, 1) so ndtri never sees an endpoint.  In place: u is a fresh array,
+    # and two fewer temporaries of its size keep the peak memory down.
+    u += 2.0 ** -54
+    return ndtri(u, out=u)
 
 
 def functionals(seed: int, first: int, count: int, p: int) -> np.ndarray:

@@ -3,19 +3,24 @@
 Workers are simulated in-process with an explicit message layer so the
 communication structure can be asserted in tests.  Each worker regenerates the
 same functional columns from the shared seed (counter-based streams), scores
-only its local rows, and sends per-functional (max value, global index) and
-(min value, global index) pairs.  The central merge takes the global max of
-the maxima and min of the minima, breaking value ties toward the lowest
-global row index — the same rule the serial path uses — so the distributed
-result equals the serial result exactly, votes included.
+only its local rows with the certified-gemm kernel ``block_optima`` (one gemm
+per block, then a per-row re-score of the few rows that could win), and
+sends per-functional (max value, global index) and (min value, global index)
+pairs.  The per-row re-score makes each value independent of how the rows
+are partitioned.  The central merge takes the global max of the maxima and
+min of the minima, breaking value ties toward the lowest global row index —
+the same rule the serial path uses — so the distributed result equals the
+serial result exactly, votes included.
 
 The whole factorization touches the data twice: one pass for pursuit, one
 pass for the NNLS weight fit (which decomposes over rows, so each worker
-fits its local rows independently).
+fits its local rows independently).  A worker whose fit stops short of the
+KKT tolerance emits a RuntimeWarning.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +32,7 @@ from .extreme_points import (
     PursuitConfig,
     _extreme_set_from_counts,
     _prepared_rows,
-    linear_scores,
+    block_optima,
 )
 from .matrix_io import require_matrix
 from .nnls import nnls_fit
@@ -80,6 +85,8 @@ class WorkerSummary:
     """Per-functional local optima of one worker, with global row indices.
 
     Empty workers report +-inf values and index -1; the merge ignores them.
+    ``rescored_rows`` counts the local rows scored on the per-row path, summed
+    over blocks; it stays local and is not part of the message.
     """
 
     worker: int
@@ -87,15 +94,21 @@ class WorkerSummary:
     max_indices: np.ndarray
     min_values: np.ndarray
     min_indices: np.ndarray
+    rescored_rows: int = 0
 
 
 @dataclass
 class ExecutionTrace:
-    """Pass and communication accounting for a distributed run."""
+    """Pass and communication accounting for a distributed run.
+
+    ``rescored_rows`` counts, per worker, the rows that pursuit re-scored on
+    the per-row path, summed over functional blocks.
+    """
 
     passes: int = 0
     rows_touched: dict[int, int] = field(default_factory=dict)
     bytes_sent: dict[int, int] = field(default_factory=dict)
+    rescored_rows: dict[int, int] = field(default_factory=dict)
 
     def record_pass(self, part: Partition, bytes_per_worker: int) -> None:
         self.passes += 1
@@ -118,20 +131,18 @@ def _worker_summary(
     min_i = np.full(m, -1, dtype=np.int64)
     if rows.size == 0:
         return WorkerSummary(d, max_v, max_i, min_v, min_i)
+    rescored = 0
     done = 0
     while done < m:
         b = min(_FUNCTIONAL_BLOCK, m - done)
-        G = _rng.functionals(seed, done, b, p)
-        S = linear_scores(X_local, G)
-        loc_max = np.argmax(S, axis=0)
-        loc_min = np.argmin(S, axis=0)
-        cols = np.arange(b)
-        max_v[done : done + b] = S[loc_max, cols]
-        max_i[done : done + b] = rows[loc_max]
-        min_v[done : done + b] = S[loc_min, cols]
-        min_i[done : done + b] = rows[loc_min]
+        best = block_optima(X_local, _rng.functionals(seed, done, b, p))
+        max_v[done : done + b] = best.max_val
+        max_i[done : done + b] = rows[best.max_idx]
+        min_v[done : done + b] = best.min_val
+        min_i[done : done + b] = rows[best.min_idx]
+        rescored += best.rescored
         done += b
-    return WorkerSummary(d, max_v, max_i, min_v, min_i)
+    return WorkerSummary(d, max_v, max_i, min_v, min_i, rescored)
 
 
 def _merge_summaries(summaries: list[WorkerSummary], n: int, m: int) -> np.ndarray:
@@ -179,6 +190,10 @@ def run_distributed(
     ]
     if trace is not None:
         trace.record_pass(part, cfg.m * BYTES_PER_FUNCTIONAL)
+        for s in summaries:
+            trace.rescored_rows[s.worker] = (
+                trace.rescored_rows.get(s.worker, 0) + s.rescored_rows
+            )
     counts = _merge_summaries(summaries, n, cfg.m)
     return _extreme_set_from_counts(counts)
 
@@ -196,7 +211,9 @@ def distributed_weights(
     The NNLS objective is separable across the rows of W, so each worker
     solves its local rows against the shared k x p archetype block; the
     concatenated result matches the serial fit row for row.  Counts as the
-    second pass over the data.
+    second pass over the data.  A worker whose fit ends above the KKT
+    tolerance ``tol`` (it hit ``max_iter``) emits a RuntimeWarning naming the
+    worker, its KKT residual and ``max_iter``; W is still returned.
     """
     X = require_matrix(X, "X")
     H_rows = np.asarray(H_rows, dtype=np.int64)
@@ -215,6 +232,13 @@ def distributed_weights(
             sol = nnls_fit(X[rows], H, tol=tol, max_iter=max_iter)
         except ValueError as exc:
             raise ValueError(f"worker {d}: {exc}") from exc
+        if not sol.converged:
+            warnings.warn(
+                f"worker {d}: NNLS stopped at KKT {sol.kkt:.3g} > tol={tol:g} "
+                f"after max_iter={max_iter} iterations",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         W[rows] = sol.W
     if trace is not None:
         trace.record_pass(part, 0)

@@ -5,6 +5,14 @@ X; both optima are extreme points of the convex hull of the rows.  Repeating
 with m independent directions finds every extreme point with probability
 at least 1 - k * (1 - 2*min_i omega_i)^m, where omega_i is the solid angle of
 the normal cone at extreme point i.
+
+Scoring a block of functionals is one gemm, ``X @ G``.  A gemm may round a
+row's score differently depending on the block shape, so its winners are
+certified: a per-column rounding-error bound keeps as candidates only the
+rows that could still be the exact per-row winner, and those few rows are
+re-scored with the partition-independent per-row path (``linear_scores``).
+Winners, tie-breaks and winning values therefore equal those of per-row
+scoring of the whole block bit for bit (see ``block_optima``).
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +30,13 @@ from .matrix_io import require_matrix
 # Functionals are generated and scored in column blocks of this size so G is
 # never fully materialized for large m.
 _FUNCTIONAL_BLOCK = 512
+
+# Unit roundoff of float64, its smallest subnormal (one rounding in the
+# subnormal range errs by at most half of it), and the score magnitude from
+# which a block is scored on the per-row path alone.
+_U = 2.0**-53
+_TINY = 2.0**-1074
+_SCORE_LIMIT = 2.0**1022
 
 
 @dataclass(frozen=True)
@@ -80,11 +96,112 @@ def linear_scores(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Evaluate the functionals (columns of G) at each row: returns rows @ G.
 
     Computed as a stack of per-row products so every row's scores are bitwise
-    identical no matter how the rows are partitioned across workers; a plain
-    gemm re-blocks by shape and may differ in the last ulp between a slice and
-    the full matrix, which would break exact serial/distributed equality.
+    identical no matter which other rows are passed with it; a plain gemm
+    re-blocks by shape and may differ in the last ulp between a slice and the
+    full matrix.  This is the exact reference that ``block_optima`` reproduces
+    and the path it re-scores its candidate rows on.
     """
     return np.matmul(rows[:, None, :], G)[:, 0, :]
+
+
+class BlockOptima(NamedTuple):
+    """Per-functional winners of one block, as ``linear_scores`` would give them.
+
+    ``rescored`` is the number of rows scored on the per-row path.
+    """
+
+    max_idx: np.ndarray
+    max_val: np.ndarray
+    min_idx: np.ndarray
+    min_val: np.ndarray
+    rescored: int
+
+
+def _candidate_rows(X: np.ndarray, G: np.ndarray) -> np.ndarray | None:
+    """Rows that may attain a column's per-row max or min, from one gemm.
+
+    Returns None when the block must be scored on the per-row path alone.
+
+    Why the test is sound.  Let u = 2^-53, eta = 2^-1075 (half the smallest
+    subnormal, so not itself a float64) and
+    gamma_n = n*u / (1 - n*u).  Any float64 inner product of length p, in
+    any summation order and with or without FMA, obeys (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2.2 and 3.1, with the underflow model)
+
+        |fl(x.g) - x.g| <= gamma_p * sum_k |x_k g_k| + 2p*eta
+                        <= gamma_p * |x| |g| + 2p*eta,
+
+    the eta term covering products that underflow (subnormal sums are exact).
+    The gemm score S_ij and the per-row score R_ij both obey it, so
+    |S_ij - R_ij| <= e_j = 2*gamma_p*rho*|g_j| + 4p*eta with rho = max_i |x_i|.
+    If row w wins column j on the per-row path, then for every row i
+
+        S_wj >= R_wj - e_j >= R_ij - e_j >= S_ij - 2*e_j,
+
+    so w, and every row tied with it, has S_wj >= max_i S_ij - 2*e_j.  The
+    min side is the mirror image.
+
+    The margin is evaluated in floating point from computed squared norms
+    q, which obey q >= (1 - gamma_p)|x|^2 - 2p*eta; hence sqrt(q + 2p*eta)
+    bounds |x| to within a factor (1 - gamma_p)^(1/2).  Taking each square
+    root on its own keeps both factors in the normal range even when X or G
+    is tiny.  The margin is
+
+        4 * gamma_{2p+16} * sqrt(q_X + 2p*eta) * sqrt(q_j + 2p*eta) + 16p*eta.
+
+    Since gamma_{2p+16} >= 2*gamma_p + 16u, its excess over the 4*gamma_p
+    of 2*e_j covers, for any p below 2^48, the factor 1/(1 - gamma_p), the
+    relative error of the ten roundings made evaluating the margin, and the
+    rounding of max - margin (at most u * (|max| + margin), below
+    2u * rho * |g_j|).  The excess of 16p*eta over the 8p*eta of 2*e_j covers
+    the absolute error, at most eta each, of those roundings in the
+    subnormal range.
+
+    Overflow.  If the computed rho*|g_j| is below 2^1022, every score on
+    either path stays below 2^1023 in magnitude.  Otherwise, or if any gemm
+    score is non-finite, the whole block is scored per row, which keeps the
+    result unchanged near overflow.
+    """
+    p = X.shape[1]
+    S = X @ G
+    top = S.max(axis=0)
+    bottom = S.min(axis=0)
+    if not (np.isfinite(top).all() and np.isfinite(bottom).all()):
+        return None
+    floor = p * _TINY  # 2p*eta
+    rho = math.sqrt(float(np.einsum("ij,ij->i", X, X).max()) + floor)
+    g_norms = np.sqrt(np.einsum("ij,ij->j", G, G) + floor)
+    if rho * g_norms.max() >= _SCORE_LIMIT:
+        return None
+    nu = (2 * p + 16) * _U
+    gamma = nu / (1.0 - nu)
+    margin = (4.0 * gamma * rho) * g_norms + 8.0 * p * _TINY  # + 16p*eta
+    candidate = (S >= top - margin) | (S <= bottom + margin)
+    return np.flatnonzero(candidate.any(axis=1))
+
+
+def block_optima(X: np.ndarray, G: np.ndarray) -> BlockOptima:
+    """Per-column argmax/argmin of linear_scores(X, G), with the winning values.
+
+    Bitwise equal to ``argmax``/``argmin`` of ``linear_scores(X, G)`` along
+    axis 0 and the scores gathered there, lowest row index on ties, but
+    computed with one gemm plus a per-row re-score of the candidate rows
+    (see ``_candidate_rows``).  X must have at least one row.
+    """
+    rows = _candidate_rows(X, G)
+    if rows is None or rows.size == X.shape[0]:
+        rows = np.arange(X.shape[0])
+        R = linear_scores(X, G)
+    else:
+        R = linear_scores(X[rows], G)
+    # Every row that could win a column is in ``rows``, and every score in R
+    # is exact, so a plain argmax over R finds each column's winner.  Rows
+    # kept only for other columns score no higher than that winner.  ``rows``
+    # is sorted, so the first occurrence is still the lowest global index.
+    cols = np.arange(G.shape[1])
+    imax = np.argmax(R, axis=0)
+    imin = np.argmin(R, axis=0)
+    return BlockOptima(rows[imax], R[imax, cols], rows[imin], R[imin, cols], int(rows.size))
 
 
 def _prepared_rows(X, cfg: PursuitConfig) -> np.ndarray:
@@ -101,16 +218,14 @@ def _prepared_rows(X, cfg: PursuitConfig) -> np.ndarray:
 def _tally_block(X: np.ndarray, seed: int, first: int, count: int, counts: np.ndarray):
     """Score functionals [first, first+count) and add max/min votes into counts.
 
-    Returns the winning (max_idx, min_idx) arrays for the block.  np.argmax /
-    np.argmin take the first occurrence, which is the lowest-index tie-break.
+    Returns the winning (max_idx, min_idx) arrays for the block, ties broken
+    toward the lowest row index.
     """
     G = _rng.functionals(seed, first, count, X.shape[1])
-    S = linear_scores(X, G)
-    max_idx = np.argmax(S, axis=0)
-    min_idx = np.argmin(S, axis=0)
-    np.add.at(counts, max_idx, 1)
-    np.add.at(counts, min_idx, 1)
-    return max_idx, min_idx
+    best = block_optima(X, G)
+    np.add.at(counts, best.max_idx, 1)
+    np.add.at(counts, best.min_idx, 1)
+    return best.max_idx, best.min_idx
 
 
 def pursue(X, cfg: PursuitConfig) -> ExtremeSet:

@@ -1,5 +1,7 @@
 """Serial/distributed equivalence, partition validation, pass accounting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,36 @@ def test_partition_size_mismatch_rejected():
     inst = gen_uniform_separable(10, 6, 2, seed=0)
     with pytest.raises(ValueError, match="covers"):
         run_distributed(inst.X, Partition.contiguous(9, 2), PursuitConfig(m=3))
+
+
+def test_trace_counts_rescored_rows():
+    inst = gen_uniform_separable(400, 50, 10, seed=6)
+    part = Partition.contiguous(400, 4)
+    trace = ExecutionTrace()
+    run_distributed(inst.X, part, PursuitConfig(m=200, seed=1), trace)
+    # Only rows that could win a functional are re-scored per row.  Worker 0
+    # holds all 10 extreme rows, so its local winners are among them; the
+    # other workers' winners are interior rows of the full cloud.
+    assert set(trace.rescored_rows) == {0, 1, 2, 3}
+    assert trace.rescored_rows[0] <= 2 * 10
+    assert all(trace.rescored_rows[w] <= 100 for w in range(4))
+
+    # Squared row norms overflow near 2^1000: every row takes the per-row path.
+    trace = ExecutionTrace()
+    run_distributed(inst.X * 2.0**1000, part, PursuitConfig(m=200, seed=1), trace)
+    assert trace.rescored_rows == {w: 100 for w in range(4)}
+
+
+def test_distributed_weights_warns_when_nnls_stops_short():
+    inst = gen_uniform_separable(500, 100, 20, seed=0)
+    part = Partition.contiguous(500, 4)
+    with pytest.warns(RuntimeWarning, match=r"worker \d: NNLS stopped at KKT .*max_iter=20"):
+        W = distributed_weights(inst.X, part, range(20), max_iter=20)
+    assert W.shape == (500, 20)
+
+
+def test_distributed_weights_converged_is_silent():
+    inst = gen_uniform_separable(200, 40, 8, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        distributed_weights(inst.X, Partition.contiguous(200, 4), list(inst.true_extreme_indices))
