@@ -12,8 +12,6 @@ and geometric condition-number diagnostics.
 from .distributed import (
     ExecutionTrace,
     Partition,
-    WorkerSummary,
-    count_passes,
     distributed_weights,
     run_distributed,
 )
@@ -52,7 +50,6 @@ from .geometry import (
     regular_simplex,
     required_m,
     simplicial_constant,
-    unit_square,
 )
 from .glasso import (
     GroupLassoProblem,
@@ -93,13 +90,11 @@ __all__ = [
     "SeparableInstance",
     "SweepSpec",
     "VertexPolytope",
-    "WorkerSummary",
     "check_cap_bounds",
     "check_simplicial_lemmas",
     "block_optima",
     "classify_rows",
     "condition_kappa",
-    "count_passes",
     "default_lambda_grid",
     "distributed_weights",
     "estimate_solid_angles",
@@ -132,5 +127,4 @@ __all__ = [
     "select_top_voted",
     "simplicial_constant",
     "solve_path",
-    "unit_square",
 ]

@@ -280,6 +280,8 @@ def _cmd_diagnose(args) -> int:
 
 _DISPATCH = {
     "sweep": _cmd_sweep,
+    "noise": lambda args: _cmd_noise(args, "vote"),
+    "glasso-noise": lambda args: _cmd_noise(args, "glasso"),
     "scree": _cmd_scree,
     "classify": _cmd_classify,
     "factorize": _cmd_factorize,
@@ -290,10 +292,6 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "noise":
-            return _cmd_noise(args, "vote")
-        if args.command == "glasso-noise":
-            return _cmd_noise(args, "glasso")
         return _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,14 +3,15 @@
 Workers are simulated in-process with an explicit message layer so the
 communication structure can be asserted in tests.  Each worker regenerates the
 same functional columns from the shared seed (counter-based streams), scores
-only its local rows with the certified-gemm kernel ``block_optima`` (one gemm
-per block, then a per-row re-score of the few rows that could win), and
-sends per-functional (max value, global index) and (min value, global index)
-pairs.  The per-row re-score makes each value independent of how the rows
-are partitioned.  The central merge takes the global max of the maxima and
-min of the minima, breaking value ties toward the lowest global row index —
-the same rule the serial path uses — so the distributed result equals the
-serial result exactly, votes included.
+only its local rows and sends per-functional (max value, global index) and
+(min value, global index) pairs; the central merge keeps the highest max and
+the lowest min, breaking value ties toward the lowest global row index.
+Pursuit runs on the one kernel of ``extreme_points`` (``_tally_block``) with
+one row shard per worker; serial pursuit is its one-shard case.  Every sent
+value is a per-row score, independent of how the rows are partitioned, so the
+distributed result equals the serial one exactly, votes included.  This
+module adds partition validation and the pass, byte and re-score accounting
+of ``ExecutionTrace``.
 
 The whole factorization touches the data twice: one pass for pursuit, one
 pass for the NNLS weight fit (which decomposes over rows, so each worker
@@ -25,14 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _rng
 from .extreme_points import (
-    _FUNCTIONAL_BLOCK,
     ExtremeSet,
     PursuitConfig,
     _extreme_set_from_counts,
     _prepared_rows,
-    block_optima,
+    _tally,
 )
 from .matrix_io import require_matrix
 from .nnls import nnls_fit
@@ -80,23 +79,6 @@ class Partition:
         return cls(n_rows=n_rows, assignment=blocks)
 
 
-@dataclass(frozen=True)
-class WorkerSummary:
-    """Per-functional local optima of one worker, with global row indices.
-
-    Empty workers report +-inf values and index -1; the merge ignores them.
-    ``rescored_rows`` counts the local rows scored on the per-row path, summed
-    over blocks; it stays local and is not part of the message.
-    """
-
-    worker: int
-    max_values: np.ndarray
-    max_indices: np.ndarray
-    min_values: np.ndarray
-    min_indices: np.ndarray
-    rescored_rows: int = 0
-
-
 @dataclass
 class ExecutionTrace:
     """Pass and communication accounting for a distributed run.
@@ -117,58 +99,6 @@ class ExecutionTrace:
             self.bytes_sent[d] = self.bytes_sent.get(d, 0) + bytes_per_worker
 
 
-def count_passes(trace: ExecutionTrace) -> int:
-    """Number of full sweeps over the locally stored data rows."""
-    return trace.passes
-
-
-def _worker_summary(
-    d: int, X_local: np.ndarray, rows: np.ndarray, seed: int, m: int, p: int
-) -> WorkerSummary:
-    max_v = np.full(m, -np.inf)
-    max_i = np.full(m, -1, dtype=np.int64)
-    min_v = np.full(m, np.inf)
-    min_i = np.full(m, -1, dtype=np.int64)
-    if rows.size == 0:
-        return WorkerSummary(d, max_v, max_i, min_v, min_i)
-    rescored = 0
-    done = 0
-    while done < m:
-        b = min(_FUNCTIONAL_BLOCK, m - done)
-        best = block_optima(X_local, _rng.functionals(seed, done, b, p))
-        max_v[done : done + b] = best.max_val
-        max_i[done : done + b] = rows[best.max_idx]
-        min_v[done : done + b] = best.min_val
-        min_i[done : done + b] = rows[best.min_idx]
-        rescored += best.rescored
-        done += b
-    return WorkerSummary(d, max_v, max_i, min_v, min_i, rescored)
-
-
-def _merge_summaries(summaries: list[WorkerSummary], n: int, m: int) -> np.ndarray:
-    """Reduce worker summaries into the global vote counts.
-
-    Per functional: the winner is the highest max value (lowest global index
-    on exact ties), and symmetrically the lowest min value.
-    """
-    V_max = np.stack([s.max_values for s in summaries])
-    I_max = np.stack([s.max_indices for s in summaries])
-    V_min = np.stack([s.min_values for s in summaries])
-    I_min = np.stack([s.min_indices for s in summaries])
-
-    counts = np.zeros(n, dtype=np.int64)
-    best = V_max.max(axis=0)
-    tied = V_max == best[None, :]
-    idx = np.where(tied, I_max, np.iinfo(np.int64).max)
-    np.add.at(counts, idx.min(axis=0), 1)
-
-    worst = V_min.min(axis=0)
-    tied = V_min == worst[None, :]
-    idx = np.where(tied, I_min, np.iinfo(np.int64).max)
-    np.add.at(counts, idx.min(axis=0), 1)
-    return counts
-
-
 def run_distributed(
     X, part: Partition, cfg: PursuitConfig, trace: ExecutionTrace | None = None
 ) -> ExtremeSet:
@@ -183,18 +113,14 @@ def run_distributed(
         raise ValueError(
             f"partition covers {part.n_rows} rows but X has {X.shape[0]}"
         )
-    n, p = X.shape
-    summaries = [
-        _worker_summary(d, X[rows], rows, cfg.seed, cfg.m, p)
-        for d, rows in enumerate(part.assignment)
-    ]
+    counts = np.zeros(X.shape[0], dtype=np.int64)
+    rescored = [0] * part.n_workers
+    shards = [(X[rows], rows) for rows in part.assignment]
+    _tally(shards, cfg.seed, 0, cfg.m, counts, rescored)
     if trace is not None:
         trace.record_pass(part, cfg.m * BYTES_PER_FUNCTIONAL)
-        for s in summaries:
-            trace.rescored_rows[s.worker] = (
-                trace.rescored_rows.get(s.worker, 0) + s.rescored_rows
-            )
-    counts = _merge_summaries(summaries, n, cfg.m)
+        for d, r in enumerate(rescored):
+            trace.rescored_rows[d] = trace.rescored_rows.get(d, 0) + r
     return _extreme_set_from_counts(counts)
 
 

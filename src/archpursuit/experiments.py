@@ -137,30 +137,14 @@ def _fit_residual_per_row(X: np.ndarray, rows: list[int]) -> float:
     return float(np.linalg.norm(X - sol.W @ X[rows])) / X.shape[0]
 
 
-def _quiet_top_voted(es: ExtremeSet, k: int) -> list[int]:
+def _quietly(select, *args) -> list[int]:
+    """select(*args) with its fewer-than-k RuntimeWarning silenced."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return select_top_voted(es, k)
+        return select(*args)
 
 
 def noise_cell(
-    k: int, p: int, m: int, epsilon: float, trials: int, seed: int, select_k: int
-) -> float:
-    """Mean pursuit+vote+NNLS residual over fresh noisy-pairs instances."""
-
-    def one(trial: int) -> float:
-        inst_seed = _rng.child_seed(seed, _rng.DOMAIN_TRIALS, 2 * trial)
-        run_seed = _rng.child_seed(seed, _rng.DOMAIN_TRIALS, 2 * trial + 1)
-        X = gen_noisy_pairs(p, k, epsilon, inst_seed)
-        es = pursue(X, PursuitConfig(m=m, seed=run_seed))
-        top = sorted(_quiet_top_voted(es, select_k))
-        return _fit_residual_per_row(X, top)
-
-    vals = _run_trials(one, trials, max_threads())
-    return float(np.mean(vals))
-
-
-def glasso_noise_cell(
     k: int,
     p: int,
     m: int,
@@ -168,28 +152,31 @@ def glasso_noise_cell(
     trials: int,
     seed: int,
     select_k: int,
+    selector: str = "vote",
     grid_points: int = 30,
 ) -> float:
-    """As noise_cell but selecting rows by group-lasso path persistence."""
+    """Mean pursuit+selection+NNLS residual over fresh noisy-pairs instances.
+
+    ``selector`` "vote" keeps the select_k most-voted rows; "glasso" ranks
+    the found rows by persistence on a group-lasso path of ``grid_points``
+    penalties.
+    """
+    if selector not in ("vote", "glasso"):
+        raise ValueError(f"unknown selector {selector!r}")
 
     def one(trial: int) -> float:
         inst_seed = _rng.child_seed(seed, _rng.DOMAIN_TRIALS, 2 * trial)
         run_seed = _rng.child_seed(seed, _rng.DOMAIN_TRIALS, 2 * trial + 1)
         X = gen_noisy_pairs(p, k, epsilon, inst_seed)
         es = pursue(X, PursuitConfig(m=m, seed=run_seed))
-        cand = list(es.indices)
-        if len(cand) <= select_k:
-            chosen = cand
-        else:
-            lam_hi = lambda_max(X, X[cand])
-            prob = GroupLassoProblem(
-                X, X[cand], default_lambda_grid(lam_hi, num=grid_points)
-            )
+        chosen = list(es.indices)
+        if selector == "vote":
+            chosen = _quietly(select_top_voted, es, select_k)
+        elif len(chosen) > select_k:
+            lam_hi = lambda_max(X, X[chosen])
+            prob = GroupLassoProblem(X, X[chosen], default_lambda_grid(lam_hi, num=grid_points))
             path = solve_path(prob, tol=1e-7, max_iter_per_lambda=1000)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                picked = select_by_persistence(path, select_k)
-            chosen = [cand[g] for g in picked]
+            chosen = [chosen[g] for g in _quietly(select_by_persistence, path, select_k)]
         return _fit_residual_per_row(X, sorted(chosen))
 
     vals = _run_trials(one, trials, max_threads())
@@ -218,23 +205,10 @@ def run_noise(spec: NoiseSpec, selector: str = "vote", grid_points: int = 30):
         for eps in spec.eps_grid:
             cell_seed = _rng.child_seed(spec.seed, _rng.DOMAIN_TRIALS, cell)
             cell += 1
-            if selector == "vote":
-                r = noise_cell(
-                    spec.k, spec.p, m, eps, spec.trials, cell_seed, spec.select_k
-                )
-            elif selector == "glasso":
-                r = glasso_noise_cell(
-                    spec.k,
-                    spec.p,
-                    m,
-                    eps,
-                    spec.trials,
-                    cell_seed,
-                    spec.select_k,
-                    grid_points,
-                )
-            else:
-                raise ValueError(f"unknown selector {selector!r}")
+            r = noise_cell(
+                spec.k, spec.p, m, eps, spec.trials, cell_seed, spec.select_k,
+                selector, grid_points,
+            )
             rows.append((float(c), m, float(eps), r, math.log10(r) if r > 0 else -math.inf))
     return rows
 
@@ -342,7 +316,7 @@ def factorize(
     path = None
     cand = ()
     if select == "vote":
-        chosen = sorted(es.indices) if k is None else sorted(_quiet_top_voted(es, k))
+        chosen = sorted(es.indices) if k is None else sorted(_quietly(select_top_voted, es, k))
     elif select == "glasso":
         if k is None:
             raise ValueError("glasso selection requires k")
@@ -353,9 +327,7 @@ def factorize(
         if len(cand) <= k:
             chosen = sorted(cand)
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                chosen = sorted(cand[g] for g in select_by_persistence(path, k))
+            chosen = sorted(cand[g] for g in _quietly(select_by_persistence, path, k))
     else:
         raise ValueError(f"unknown selector {select!r}")
     W = distributed_weights(X, part, chosen, trace=trace)

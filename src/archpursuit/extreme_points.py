@@ -13,6 +13,12 @@ rows that could still be the exact per-row winner, and those few rows are
 re-scored with the partition-independent per-row path (``linear_scores``).
 Winners, tie-breaks and winning values therefore equal those of per-row
 scoring of the whole block bit for bit (see ``block_optima``).
+
+One kernel, ``_tally_block``, runs every pursuit: per block of functionals
+it finds each row shard's (worker's) optima and merges them.  ``pursue`` is
+the one-shard case, ``pursue_adaptive`` runs it per round and
+``distributed.run_distributed`` with one shard per worker, so all three
+agree by construction.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ _FUNCTIONAL_BLOCK = 512
 _U = 2.0**-53
 _TINY = 2.0**-1074
 _SCORE_LIMIT = 2.0**1022
+
+# Largest binary exponent (as ``math.frexp`` gives it) of max|X| that pursuit
+# scores unscaled; see ``_prepared_rows``.
+_MAX_EXPONENT = 960
 
 
 @dataclass(frozen=True)
@@ -205,9 +215,23 @@ def block_optima(X: np.ndarray, G: np.ndarray) -> BlockOptima:
 
 
 def _prepared_rows(X, cfg: PursuitConfig) -> np.ndarray:
+    """X validated, scaled away from overflow, and row-normalized if asked.
+
+    Scores cannot overflow once max|X| < 2^960: every finite functional
+    entry has |g| <= -ndtri(2^-54) < 8.3, so for p < 2^48 any float64
+    evaluation of x.g stays below (1 + gamma_p) * p * 2^960 * 8.3 < 2^1012.
+    Larger X is scaled by the power of two that brings max|X| below 2^960;
+    away from underflow that is exact and scales every score alike, so ties
+    at +-inf give way to the true winners.  Smaller X is not touched, and
+    its results stay bitwise unchanged.  On a cluster the scale needs one
+    scalar max-reduce of max|X| over the workers at partition setup.
+    """
     X = require_matrix(X, name="X")
     if X.shape[0] < 1:
         raise ValueError("X must have at least one row")
+    exponent = math.frexp(max(X.max(initial=0.0), -X.min(initial=0.0)))[1]
+    if exponent > _MAX_EXPONENT:
+        X = np.ldexp(X, _MAX_EXPONENT - exponent)
     if cfg.normalize_rows:
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0  # zero rows stay put
@@ -215,17 +239,35 @@ def _prepared_rows(X, cfg: PursuitConfig) -> np.ndarray:
     return X
 
 
-def _tally_block(X: np.ndarray, seed: int, first: int, count: int, counts: np.ndarray):
-    """Score functionals [first, first+count) and add max/min votes into counts.
+def _tally_block(shards, seed: int, first: int, count: int, counts: np.ndarray, rescored):
+    """Score functionals [first, first+count) on every shard and add the votes.
 
-    Returns the winning (max_idx, min_idx) arrays for the block, ties broken
-    toward the lowest row index.
+    ``shards`` holds one (local rows of X, their sorted global indices) pair
+    per worker.  G is generated once, ``block_optima`` finds each nonempty
+    shard's optima, and the merge keeps per functional the highest max and
+    the lowest min, the lowest global row index on exact ties.  Every value
+    is a per-row score, so the votes do not depend on the partition.
+    ``rescored[d]`` accumulates the rows shard d re-scored per row.
     """
-    G = _rng.functionals(seed, first, count, X.shape[1])
-    best = block_optima(X, G)
-    np.add.at(counts, best.max_idx, 1)
-    np.add.at(counts, best.min_idx, 1)
-    return best.max_idx, best.min_idx
+    G = _rng.functionals(seed, first, count, shards[0][0].shape[1])
+    values, winners = [], []
+    for d, (X_local, rows) in enumerate(shards):
+        if rows.size:
+            best = block_optima(X_local, G)
+            rescored[d] += best.rescored
+            # The min side is the max of the negated scores; negation is exact.
+            values.append((best.max_val, -best.min_val))
+            winners.append((rows[best.max_idx], rows[best.min_idx]))
+    values, winners = np.array(values), np.array(winners)
+    tied = values == values.max(axis=0)
+    np.add.at(counts, np.where(tied, winners, counts.size).min(axis=0).ravel(), 1)
+
+
+def _tally(shards, seed: int, first: int, count: int, counts: np.ndarray, rescored) -> None:
+    """``_tally_block`` over functionals [first, first+count), block by block."""
+    for start in range(first, first + count, _FUNCTIONAL_BLOCK):
+        b = min(_FUNCTIONAL_BLOCK, first + count - start)
+        _tally_block(shards, seed, start, b, counts, rescored)
 
 
 def pursue(X, cfg: PursuitConfig) -> ExtremeSet:
@@ -235,15 +277,12 @@ def pursue(X, cfg: PursuitConfig) -> ExtremeSet:
     min_i x_i.g_j are recorded (ties broken toward the lowest row index).
     Every returned index is an extreme point of the convex hull of the rows,
     except that exact duplicates of an extreme row can also collect votes;
-    rows are not deduplicated.
+    rows are not deduplicated.  This is the one-worker case of
+    ``run_distributed``.
     """
     X = _prepared_rows(X, cfg)
     counts = np.zeros(X.shape[0], dtype=np.int64)
-    done = 0
-    while done < cfg.m:
-        b = min(_FUNCTIONAL_BLOCK, cfg.m - done)
-        _tally_block(X, cfg.seed, done, b, counts)
-        done += b
+    _tally([(X, np.arange(X.shape[0]))], cfg.seed, 0, cfg.m, counts, [0])
     return _extreme_set_from_counts(counts)
 
 
@@ -252,24 +291,23 @@ def pursue_adaptive(X, cfg: PursuitConfig, rounds_patience: int = 1) -> ExtremeS
 
     Stops after ``rounds_patience`` consecutive rounds contribute no index not
     already seen (default 1: the first empty round stops the run).  Votes from
-    every round, including the stopping rounds, are tallied.  The number of
-    rounds taken is recoverable as sum(votes.values()) // (2 * batch).
+    every round, including the stopping rounds, are tallied, so a run of r
+    rounds equals ``pursue`` with m = r * batch.  The number of rounds taken
+    is recoverable as sum(votes.values()) // (2 * batch).
     """
     if rounds_patience < 1:
         raise ValueError(f"rounds_patience must be >= 1, got {rounds_patience}")
     X = _prepared_rows(X, cfg)
     batch = cfg.round_size
+    shards = [(X, np.arange(X.shape[0]))]
     counts = np.zeros(X.shape[0], dtype=np.int64)
-    seen = np.zeros(X.shape[0], dtype=bool)
+    found = 0
     empty_rounds = 0
     round_no = 0
     while empty_rounds < rounds_patience:
-        max_idx, min_idx = _tally_block(X, cfg.seed, round_no * batch, batch, counts)
-        new = ~seen[max_idx]
-        seen[max_idx] = True
-        new_min = ~seen[min_idx]
-        seen[min_idx] = True
-        empty_rounds = 0 if (new.any() or new_min.any()) else empty_rounds + 1
+        _tally(shards, cfg.seed, round_no * batch, batch, counts, [0])
+        found, before = np.count_nonzero(counts), found
+        empty_rounds = 0 if found > before else empty_rounds + 1
         round_no += 1
     return _extreme_set_from_counts(counts)
 

@@ -318,10 +318,6 @@ def hypercube(d: int) -> VertexPolytope:
     return VertexPolytope(f"cube-d{d}", verts, tuple(nbrs))
 
 
-def unit_square() -> VertexPolytope:
-    return hypercube(2)
-
-
 def needle_simplex(k: int, stretch: float) -> VertexPolytope:
     """Regular simplex with vertex 0 pulled away from the centroid by `stretch`.
 

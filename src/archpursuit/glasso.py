@@ -29,35 +29,26 @@ from .nnls import power_iteration
 ACTIVITY_THRESHOLD = 1e-6
 
 
-def project_soc(v: np.ndarray, s: float) -> tuple[np.ndarray, float]:
-    """Euclidean projection of (v, s) onto the cone {(v, s): ||v||_2 <= s}."""
-    nv = float(np.linalg.norm(v))
-    if nv <= s:
-        return v, s
-    if nv <= -s:
-        return np.zeros_like(v), 0.0
-    a = 0.5 * (nv + s)
-    return (a / nv) * v, a
-
-
 def project_cone_orthant(x) -> np.ndarray:
     """Project onto (second-order cone) ∩ (non-negative orthant).
 
     The last coordinate is the cone height t, the first q-1 are the group
-    coefficients.  Computed as the composition P_cone(P_orthant(x)) where the
-    orthant clip leaves the last coordinate alone; the composition equals the
-    exact projection onto the intersection.
+    coefficients.  The single-group case of ``_project_groups``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] < 2:
         raise ValueError(f"expected a vector of length >= 2, got shape {x.shape}")
-    v = np.maximum(x[:-1], 0.0)
-    w, t = project_soc(v, float(x[-1]))
-    return np.append(w, t)
+    w, t = _project_groups(x[:-1, None], x[-1:])
+    return np.append(w[:, 0], t)
 
 
 def _project_groups(W: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch projection of each group column (W[:, i], t[i]) onto cone ∩ orthant."""
+    """Batch projection of each group column (W[:, i], t[i]) onto cone ∩ orthant.
+
+    Computed as the composition P_cone(P_orthant(.)) where the orthant clip
+    leaves the height t alone; the composition equals the exact projection
+    onto the intersection.
+    """
     V = np.maximum(W, 0.0)
     norms = np.linalg.norm(V, axis=0)
     inside = norms <= t

@@ -18,7 +18,6 @@ from archpursuit import (
     GroupLassoProblem,
     Partition,
     PursuitConfig,
-    count_passes,
     default_lambda_grid,
     distributed_weights,
     estimate_solid_angles,
@@ -209,9 +208,9 @@ def test_08_distributed_equivalence():
     part = Partition.contiguous(130, 4)
     trace = ExecutionTrace()
     es = run_distributed(inst.X, part, PursuitConfig(m=45, seed=1), trace)
-    pursuit_passes = count_passes(trace)
+    pursuit_passes = trace.passes
     distributed_weights(inst.X, part, list(es.indices), trace=trace)
-    total_passes = count_passes(trace)
+    total_passes = trace.passes
     ok &= pursuit_passes == 1 and total_passes == 2
     assert _report(
         8,

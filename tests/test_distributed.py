@@ -9,7 +9,6 @@ from archpursuit import (
     ExecutionTrace,
     Partition,
     PursuitConfig,
-    count_passes,
     distributed_weights,
     gen_uniform_separable,
     nnls_fit,
@@ -103,13 +102,13 @@ def test_trace_passes_and_bytes():
     cfg = PursuitConfig(m=25, seed=3)
     trace = ExecutionTrace()
     es = run_distributed(inst.X, part, cfg, trace)
-    assert count_passes(trace) == 1
+    assert trace.passes == 1
     assert trace.rows_touched == {0: 20, 1: 10, 2: 0}
     # Communication is independent of local row counts, empty workers included.
     assert trace.bytes_sent == {w: 25 * BYTES_PER_FUNCTIONAL for w in range(3)}
 
     distributed_weights(inst.X, part, list(es.indices), trace=trace)
-    assert count_passes(trace) == 2
+    assert trace.passes == 2
     assert trace.rows_touched == {0: 40, 1: 20, 2: 0}
 
 

@@ -14,7 +14,7 @@ from archpursuit import (
     run_scree,
     run_sweep,
 )
-from archpursuit.experiments import glasso_noise_cell, noise_cell, recovery_fraction
+from archpursuit.experiments import noise_cell, recovery_fraction
 
 
 def test_recovery_fraction_easy_cell():
@@ -58,13 +58,17 @@ def test_noise_cell_zero_eps_exact():
 
 
 def test_glasso_noise_cell_zero_eps_exact():
-    r = glasso_noise_cell(k=5, p=40, m=40, epsilon=0.0, trials=2, seed=2, select_k=5)
+    r = noise_cell(
+        k=5, p=40, m=40, epsilon=0.0, trials=2, seed=2, select_k=5, selector="glasso"
+    )
     assert r <= 1e-6
 
 
 def test_noise_cells_same_order_of_magnitude():
     vote = noise_cell(k=5, p=60, m=60, epsilon=0.02, trials=4, seed=3, select_k=5)
-    glasso = glasso_noise_cell(k=5, p=60, m=60, epsilon=0.02, trials=4, seed=3, select_k=5)
+    glasso = noise_cell(
+        k=5, p=60, m=60, epsilon=0.02, trials=4, seed=3, select_k=5, selector="glasso"
+    )
     assert 0.1 <= vote / glasso <= 10.0
 
 
@@ -126,8 +130,9 @@ def test_glasso_residual_insensitive_to_m():
 
     k, p = 8, 200
     vals = [
-        glasso_noise_cell(
-            k, p, math.ceil(c * k * math.log(k)), 0.01, 8, seed=5, select_k=k
+        noise_cell(
+            k, p, math.ceil(c * k * math.log(k)), 0.01, 8, seed=5, select_k=k,
+            selector="glasso",
         )
         for c in (2.0, 10.0)
     ]

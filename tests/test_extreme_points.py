@@ -1,17 +1,22 @@
-"""Pursuit correctness: soundness, votes, tie-breaks, adaptive stopping."""
+"""Pursuit correctness: soundness, votes, tie-breaks, overflow, adaptive stopping."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from archpursuit import (
     ExtremeSet,
+    Partition,
     PursuitConfig,
     gen_uniform_separable,
     posterior_missed_mass,
     pursue,
     pursue_adaptive,
+    run_distributed,
     select_top_voted,
 )
 
@@ -121,6 +126,40 @@ def test_config_validation():
         PursuitConfig(m=5, batch=0)
 
 
+def test_rows_near_overflow_keep_their_votes():
+    # Unscaled, the scores of these rows overflow to +-inf and the inf ties
+    # go to the lowest index: row 0, the midpoint of rows 1 and 2, won votes.
+    X = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    cfg = PursuitConfig(m=100, seed=0)
+    unscaled = pursue(X, cfg)
+    assert unscaled.indices == (1, 2, 3)
+    big = X * 1.7e308
+    assert pursue(big, cfg) == unscaled
+    assert run_distributed(big, Partition(4, ([0, 3], [1], [2])), cfg) == unscaled
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_votes_invariant_under_powers_of_two(data):
+    # Entries are multiples of 1/4 in [-4, 4] and every nonzero functional
+    # entry exceeds 2^-53 in magnitude, so for e >= -960 every nonzero
+    # product stays normal and scaling X by 2^e scales each score exactly.
+    # The top e is the largest that keeps X finite.
+    n = data.draw(st.integers(1, 8))
+    p = data.draw(st.integers(1, 4))
+    X = data.draw(arrays(np.float64, (n, p), elements=st.integers(-16, 16).map(lambda v: v / 4)))
+    top = 1024 - math.frexp(float(np.abs(X).max()))[1]
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(0, 2)))
+    part = Partition(n, tuple(np.flatnonzero(labels == d) for d in range(3)))
+    cfg = PursuitConfig(m=24, seed=data.draw(st.integers(0, 2**32)))
+    expected = pursue(X, cfg)
+    for e in (top, top - 1, data.draw(st.integers(-960, top))):
+        scaled = np.ldexp(X, e)
+        assert np.isfinite(scaled).all()
+        assert pursue(scaled, cfg) == expected
+        assert run_distributed(scaled, part, cfg) == expected
+
+
 # ---------------------------------------------------------------------------
 # Adaptive algorithm
 
@@ -186,6 +225,20 @@ def test_adaptive_stopping_rule_confidence():
 
 # ---------------------------------------------------------------------------
 # A-posteriori bound and vote selection
+
+
+@pytest.mark.parametrize("batch", [5, 37, 700])
+def test_adaptive_equals_pursue_with_the_functionals_it_used(batch):
+    # r rounds of batch functionals are functionals [0, r * batch), blocked
+    # differently from fixed-m pursuit (batch 700 spans two blocks of 512).
+    for seed in range(3):
+        X = np.asarray(gen_uniform_separable(60, 12, 6, seed=seed).X)
+        cfg = PursuitConfig(m=batch, seed=seed, batch=batch)
+        for patience in (1, 2):
+            es = pursue_adaptive(X, cfg, rounds_patience=patience)
+            rounds = sum(es.votes.values()) // (2 * batch)
+            assert rounds >= 2
+            assert es == pursue(X, PursuitConfig(m=rounds * batch, seed=seed))
 
 
 def test_posterior_missed_mass_values():

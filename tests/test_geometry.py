@@ -19,7 +19,6 @@ from archpursuit import (
     regular_simplex,
     required_m,
     simplicial_constant,
-    unit_square,
 )
 from archpursuit.geometry import cap_area_estimate
 
@@ -253,7 +252,7 @@ def test_cap_hemisphere_and_full_sphere():
 
 
 def test_lemma_checks_on_standard_shapes():
-    shapes = [regular_simplex(4), unit_square(), needle_simplex(4, 5.0)]
+    shapes = [regular_simplex(4), hypercube(2), needle_simplex(4, 5.0)]
     checks = check_simplicial_lemmas(shapes, samples=100_000, seed=3)
     assert all(c.alpha_bound_holds for c in checks)
     verified = [c for c in checks if c.omega_bound_holds is not None]
@@ -274,7 +273,7 @@ def test_needle_vertex_has_large_angle():
 def test_square_angle_bound_quantities():
     # Hand-computed for the unit square corner: alpha = r_min = sqrt(1/2),
     # height^2 = 1/2 exactly at the bound's precondition, omega bound = 1/2.
-    checks = check_simplicial_lemmas([unit_square()], samples=20_000, seed=6)
+    checks = check_simplicial_lemmas([hypercube(2)], samples=20_000, seed=6)
     c = checks[0]
     assert c.alpha_hat == pytest.approx(math.sqrt(0.5), abs=1e-7)
     assert c.r_min == pytest.approx(math.sqrt(0.5), abs=1e-7)

@@ -13,11 +13,22 @@ from archpursuit import (
     select_by_persistence,
     solve_path,
 )
-from archpursuit.glasso import project_soc
 
 
 def in_cone_orthant(y, tol=1e-12):
     return (y[:-1] >= -tol).all() and np.linalg.norm(y[:-1]) <= y[-1] + tol
+
+
+def soc_projection(v, s):
+    """Projection of (v, s) onto the second-order cone {||v||_2 <= s}, written
+    here so that the oracle shares no code with the projection it checks."""
+    nv = float(np.linalg.norm(v))
+    if nv <= s:
+        return v, s
+    if nv <= -s:
+        return np.zeros_like(v), 0.0
+    a = 0.5 * (nv + s)
+    return (a / nv) * v, a
 
 
 def dykstra_oracle(x, iters=5000, tol=1e-13):
@@ -30,7 +41,7 @@ def dykstra_oracle(x, iters=5000, tol=1e-13):
         u = y + p
         u = np.append(np.maximum(u[:-1], 0.0), u[-1])
         p = y + p - u
-        w, t = project_soc(u[:-1] + q[:-1], u[-1] + q[-1])
+        w, t = soc_projection(u[:-1] + q[:-1], u[-1] + q[-1])
         y_new = np.append(w, t)
         q = u + q - y_new
         if np.abs(y_new - y).max() <= tol:
