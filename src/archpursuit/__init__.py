@@ -9,6 +9,8 @@ variant, majority-vote and non-negative group-lasso selection for noisy data,
 and geometric condition-number diagnostics.
 """
 
+from types import ModuleType as _ModuleType
+
 from .distributed import (
     ExecutionTrace,
     Partition,
@@ -74,57 +76,9 @@ from .nnls import NnlsSolution, kkt_residual, nnls_fit
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockOptima",
-    "ExecutionTrace",
-    "ExtremeSet",
-    "FactorizeResult",
-    "GeometryReport",
-    "GroupLassoProblem",
-    "LassoPath",
-    "LemmaCheck",
-    "NnlsSolution",
-    "NoiseSpec",
-    "Partition",
-    "PursuitConfig",
-    "SeparableInstance",
-    "SweepSpec",
-    "VertexPolytope",
-    "check_cap_bounds",
-    "check_simplicial_lemmas",
-    "block_optima",
-    "classify_rows",
-    "condition_kappa",
-    "default_lambda_grid",
-    "distributed_weights",
-    "estimate_solid_angles",
-    "factorize",
-    "gen_hilbert_separable",
-    "gen_noisy_pairs",
-    "gen_uniform_separable",
-    "geometry_report",
-    "hypercube",
-    "kkt_residual",
-    "lambda_max",
-    "linear_scores",
-    "load_binary",
-    "load_csv",
-    "needle_simplex",
-    "nnls_fit",
-    "posterior_missed_mass",
-    "project_cone_orthant",
-    "pursue",
-    "pursue_adaptive",
-    "regular_simplex",
-    "required_m",
-    "run_distributed",
-    "run_noise",
-    "run_scree",
-    "run_sweep",
-    "save_binary",
-    "save_csv",
-    "select_by_persistence",
-    "select_top_voted",
-    "simplicial_constant",
-    "solve_path",
-]
+# The public names imported above; deriving the list keeps it from drifting.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
+)

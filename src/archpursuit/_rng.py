@@ -76,10 +76,12 @@ def uniform_rows(seed: int, domain: int, first_row: int, n_rows: int, row_len: i
 def gaussian_rows(seed: int, domain: int, first_row: int, n_rows: int, row_len: int) -> np.ndarray:
     """Standard-normal variant of :func:`uniform_rows` (same addressing)."""
     u = uniform_rows(seed, domain, first_row, n_rows, row_len)
-    # u lies on the 2^-53 grid including 0; the half-ulp shift centres it in
-    # (0, 1) so ndtri never sees an endpoint.  In place: u is a fresh array,
-    # and two fewer temporaries of its size keep the peak memory down.
+    # u lies on the 2^-53 grid in [0, 1 - 2^-53]: the half-ulp shift moves 0
+    # off 0 and the clamp undoes its rounding of the top point to 1.0, so
+    # ndtri never sees an endpoint.  In place: u is a fresh array, and two
+    # fewer temporaries of its size keep the peak memory down.
     u += 2.0 ** -54
+    np.minimum(u, 1.0 - 2.0 ** -53, out=u)
     return ndtri(u, out=u)
 
 

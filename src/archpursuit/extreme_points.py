@@ -233,6 +233,12 @@ def _prepared_rows(X, cfg: PursuitConfig) -> np.ndarray:
     if exponent > _MAX_EXPONENT:
         X = np.ldexp(X, _MAX_EXPONENT - exponent)
     if cfg.normalize_rows:
+        # A row whose squared norm over- or underflows is first scaled by a
+        # power of two, which leaves its unit row as it is.
+        sq = np.einsum("ij,ij->i", X, X)
+        off = ~((sq >= np.finfo(np.float64).tiny) & (sq < np.inf))
+        if off.any():
+            X = np.ldexp(X, np.where(off, -np.frexp(np.abs(X).max(axis=1))[1], 0)[:, None])
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0  # zero rows stay put
         X = X / norms

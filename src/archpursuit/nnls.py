@@ -1,9 +1,10 @@
 """Non-negative least squares for the weights W given archetype rows H.
 
-Solves min_{W >= 0} 0.5 * ||X - W H||_F^2 by accelerated projected gradient
-with a per-row monotone restart.  The problem decomposes over the rows of X,
-and the solver preserves that: each row carries its own momentum, restart and
-convergence state, so solving rows jointly matches solving them separately.
+Solves min_{W >= 0} 0.5 * ||X - W H||_F^2 exactly by block principal
+pivoting (Kim & Park 2011), an active-set method of the Lawson-Hanson family,
+on the k x k Gram matrix H H^T.  The problem decomposes over the rows of X,
+and the solver preserves that: each row carries its own passive set and
+pivoting state, and rows that share a passive set are solved together.
 """
 
 from __future__ import annotations
@@ -67,6 +68,39 @@ def kkt_residual(X, H, W) -> float:
     return float(np.abs(np.minimum(W, G)).max())
 
 
+def _lawson_hanson(H, v, tol: float, rounds: int):
+    """Lawson-Hanson for one row: min 0.5 * ||v - x H||^2 over x >= 0.
+
+    Each round adds the index of the lowest gradient entry below -tol, then
+    steps back toward the passive least-squares solution until it is
+    positive.  The passive rows of H stay independent, so it cannot cycle
+    when H H^T is singular.  Solves use H, not H H^T.  Returns x and the
+    rounds used.
+    """
+    x, F, f = np.zeros(len(H)), np.zeros(len(H), dtype=bool), 0.5 * (v @ v)
+    for r in range(rounds):
+        y = np.where(F, 0.0, (x @ H - v) @ H.T)
+        if y.min() >= -tol:
+            return x, r
+        F[np.argmin(y)] = True
+        while F.any():
+            z = np.zeros(len(H))
+            z[F] = np.linalg.lstsq(H[F].T, v, rcond=None)[0]
+            out = np.flatnonzero(F & (z <= 0.0))
+            if out.size == 0:
+                x = z
+                break
+            t = x[out] / (x[out] - z[out])
+            x += t.min() * (z - x)
+            F[out[np.argmin(t)]] = False
+            F &= x > 0.0
+            x[~F] = 0.0
+        f, f_prev = 0.5 * np.sum((v - x @ H) ** 2), f
+        if not f < f_prev:  # rounding hides any further descent
+            return x, r + 1
+    return x, rounds
+
+
 def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
     """Fit W >= 0 minimizing 0.5*||X - W H||_F^2, to KKT sup-norm <= tol.
 
@@ -76,16 +110,21 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
     H : (k, p) archetype rows.  A zero row of H is permitted; its coefficient
         column stays at zero and a RuntimeWarning is emitted.
     tol : target for max |min(W, (W H - X) H^T)|.
-    max_iter : iteration cap across all rows.
+    max_iter : cap on pivoting rounds; max_iter=0 returns W = 0.
 
     Notes
     -----
-    Gradients are evaluated through the k x k Gram matrix H H^T, so the
-    per-iteration cost is O(n k^2) after an O(n p k) setup.  The step is 1/L
-    with L the largest eigenvalue of H H^T (power iteration, 50 iterations,
-    tolerance 1e-10); acceleration restarts per row whenever the candidate
-    would increase that row's objective, which keeps every row's objective
-    non-increasing.
+    Block principal pivoting on C = H H^T and D = X H^T.  Each row keeps a
+    passive set F; x solves C_FF x_F = D_F (min-norm if C_FF is singular),
+    x = 0 off F, and y = x C - D.  A round exchanges all infeasible indices
+    (x < 0 on F, y < -tol off F) of each unfinished row while their count
+    keeps falling and for three rounds after; rows that share F share one
+    multi-right-hand-side solve.  A row whose exchanges stall then finishes
+    by Lawson-Hanson, which, unlike Murty's single-exchange rule, cannot
+    cycle when k > p.  A row stops once nothing is infeasible or the
+    Gram-form KKT of max(x, 0) is <= tol, so rounding noise cannot keep it
+    flipping.  W = max(x, 0); ``iterations`` counts rounds, Lawson-Hanson
+    ones included; ``kkt`` is the residual-form :func:`kkt_residual`.
     """
     X = require_matrix(X, "X")
     H = require_matrix(H, "H")
@@ -102,74 +141,48 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
             stacklevel=2,
         )
 
-    HHt = H @ H.T
-    XHt = X @ H.T
-    xx = np.einsum("ij,ij->i", X, X)
-    # Power iteration approaches the top eigenvalue from below; the 1% margin
-    # keeps the step inside the descent-guarantee region if it exits early.
-    L = 1.01 * power_iteration(HHt)
-    if L <= 0.0:
-        # H is entirely zero: optimum is W = 0.
-        W = np.zeros((n, k))
-        res = float(np.linalg.norm(X))
-        denom = res if res > 0 else 1.0
-        return NnlsSolution(W, res / denom if res > 0 else 0.0, 0, True, 0.0)
-
-    def row_objectives(Wm):
-        return 0.5 * xx - np.einsum("ij,ij->i", Wm, XHt) + 0.5 * np.einsum(
-            "ij,ij->i", Wm, Wm @ HHt
-        )
-
-    W = np.zeros((n, k))
-    Y = W.copy()
-    f = row_objectives(W)
-    t = np.ones(n)
-    frozen = np.zeros(n, dtype=bool)
-    iterations = 0
-    # The Gram-form objective rounds at ~eps * xx per row; decrements below
-    # that are invisible, so the monotone test needs this much slack or it
-    # deadlocks before the KKT tolerance is reached.
-    slack = 32.0 * np.finfo(np.float64).eps * (xx + 1.0)
-
-    while iterations < max_iter:
+    C = H @ H.T
+    D = X @ H.T
+    x = np.zeros((n, k))
+    passive = np.zeros((n, k), dtype=bool)
+    best = np.full(n, k + 1)  # fewest infeasible indices seen, per row
+    chances = np.full(n, 3)  # full exchanges left without a new best
+    todo = np.arange(n)
+    iterations = finished_at = 0  # finished_at: last Lawson-Hanson round
+    while True:
+        xt, Dt = x[todo], D[todo]
+        W = np.maximum(xt, 0.0)
+        kkt_rows = np.abs(np.minimum(W, W @ C - Dt)).max(axis=1)
+        bad = np.where(passive[todo], xt < 0.0, xt @ C - Dt < -tol)
+        count = bad.sum(axis=1)
+        keep = (count > 0) & (kkt_rows > tol)
+        todo, bad, count = todo[keep], bad[keep], count[keep]
+        if todo.size == 0 or iterations >= max_iter:
+            break
         iterations += 1
-        V = np.maximum(Y - (Y @ HHt - XHt) / L, 0.0)
-        fV = row_objectives(V)
+        chances[todo[count < best[todo]]] = 4  # a new best restores three
+        best[todo] = np.minimum(best[todo], count)
+        chances[todo] -= 1
+        full = chances[todo] >= 0
+        for i in todo[~full]:
+            x[i], r = _lawson_hanson(H, X[i], tol, max_iter - iterations + 1)
+            finished_at = max(finished_at, iterations - 1 + r)
+        todo, bad = todo[full], bad[full]
+        if todo.size == 0:
+            break
+        passive[todo] ^= bad
+        # Sorting the packed passive sets puts rows that share one side by side.
+        packed = np.packbits(passive[todo], axis=1)
+        order = np.lexsort(packed.T)
+        cuts = np.flatnonzero((np.diff(packed[order], axis=0) != 0).any(axis=1)) + 1
+        for rows in np.split(todo[order], cuts):
+            f = np.flatnonzero(passive[rows[0]])
+            xF = np.linalg.lstsq(C[f[:, None], f], D[rows[:, None], f].T, rcond=None)[0]
+            x[rows] = 0.0
+            x[rows[:, None], f] = xF.T
 
-        improved = fV <= f + slack
-        restart = ~improved & ~frozen
-        step = improved & ~frozen
-
-        W_prev = W
-        W = np.where(step[:, None], V, W)
-        f = np.where(step, fV, f)
-
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        Y = W + (((t - 1.0) / t_next)[:, None]) * (W - W_prev)
-        # Restarted rows drop momentum and take a plain projected-gradient
-        # step next iteration, which cannot increase the objective.
-        Y[restart] = W[restart]
-        t_next[restart] = 1.0
-        Y[frozen] = W[frozen]
-        t = t_next
-
-        kkt_rows = np.abs(np.minimum(W, W @ HHt - XHt)).max(axis=1)
-        frozen = kkt_rows <= tol
-        if frozen.all():
-            # Confirm with the residual-form certificate, which is what we
-            # report; the Gram form can differ in the last couple of digits.
-            if kkt_residual(X, H, W) <= tol:
-                break
-            frozen = np.zeros(n, dtype=bool)
-
-    res = X - W @ H
+    W = np.maximum(x, 0.0)
     norm_x = float(np.linalg.norm(X))
-    rel = float(np.linalg.norm(res)) / (norm_x if norm_x > 0 else 1.0)
+    rel = float(np.linalg.norm(X - W @ H)) / (norm_x if norm_x > 0 else 1.0)
     kkt = kkt_residual(X, H, W)
-    return NnlsSolution(
-        W=W,
-        relative_residual=rel,
-        iterations=iterations,
-        converged=bool(kkt <= tol),
-        kkt=kkt,
-    )
+    return NnlsSolution(W, rel, max(iterations, finished_at), bool(kkt <= tol), kkt)

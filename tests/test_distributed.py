@@ -10,6 +10,7 @@ from archpursuit import (
     Partition,
     PursuitConfig,
     distributed_weights,
+    gen_noisy_pairs,
     gen_uniform_separable,
     nnls_fit,
     pursue,
@@ -169,9 +170,22 @@ def test_trace_counts_rescored_rows():
 def test_distributed_weights_warns_when_nnls_stops_short():
     inst = gen_uniform_separable(500, 100, 20, seed=0)
     part = Partition.contiguous(500, 4)
-    with pytest.warns(RuntimeWarning, match=r"worker \d: NNLS stopped at KKT .*max_iter=20"):
-        W = distributed_weights(inst.X, part, range(20), max_iter=20)
+    with pytest.warns(RuntimeWarning, match=r"worker \d: NNLS stopped at KKT .*max_iter=0"):
+        W = distributed_weights(inst.X, part, range(20), max_iter=0)
     assert W.shape == (500, 20)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_distributed_weights_warns_on_a_positive_cap(seed):
+    # Pivoting needs several rounds here: H holds non-extreme midpoint rows.
+    X = gen_noisy_pairs(1000, 20, 0.01, seed)
+    rows = [0, 1, 2, 20, 21, 22, 40, 41]
+    full = nnls_fit(X, X[rows])
+    assert full.converged and full.iterations > 2
+    capped = nnls_fit(X, X[rows], max_iter=2)
+    assert not capped.converged and capped.iterations == 2
+    with pytest.warns(RuntimeWarning, match=r"worker 0: NNLS stopped at KKT .*max_iter=2 "):
+        distributed_weights(X, Partition.contiguous(X.shape[0], 1), rows, max_iter=2)
 
 
 def test_distributed_weights_converged_is_silent():

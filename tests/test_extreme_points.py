@@ -114,6 +114,20 @@ def test_normalize_rows_makes_scale_irrelevant():
     assert pursue(X, cfg) == pursue(scaled, cfg)
 
 
+def test_normalize_rows_far_from_unit_scale():
+    # Squared norms of these rows overflow at 2^700 and underflow at 2^-700.
+    X = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    cfg = PursuitConfig(m=100, seed=0, normalize_rows=True)
+    unscaled = pursue(X, cfg)
+    assert unscaled.indices == (0, 1, 2, 3)
+    for e in (700, -700):
+        assert pursue(np.ldexp(X, e), cfg) == unscaled
+    mixed = X.copy()
+    mixed[1] *= 2.0**700
+    mixed[2] *= 2.0**-700
+    assert pursue(mixed, cfg) == unscaled
+
+
 def test_empty_matrix_rejected():
     with pytest.raises(ValueError):
         pursue(np.empty((0, 3)), PursuitConfig(m=1))

@@ -1,7 +1,12 @@
 """NNLS solver: certificates, recovery, row decomposability."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls as scipy_nnls
 
 from archpursuit import gen_uniform_separable, kkt_residual, nnls_fit
@@ -30,6 +35,16 @@ def test_exact_instance_recovers_weights():
     assert sol.relative_residual <= 1e-6
     err = np.linalg.norm(sol.W - inst.W) / np.linalg.norm(inst.W)
     assert err <= 1e-4
+
+
+def test_exact_instance_takes_one_round():
+    # Every row is a convex combination of the archetype rows, so the first
+    # full exchange lands on the optimum; the KKT stop keeps rounding noise
+    # in the archetype rows' own fits from starting more rounds.
+    inst = gen_uniform_separable(250, 100, 20, seed=2)
+    sol = nnls_fit(inst.X, inst.X[list(inst.true_extreme_indices)])
+    assert sol.converged and sol.iterations == 1
+    assert sol.kkt <= 1e-10
 
 
 def test_kkt_certificate_behaviour():
@@ -100,3 +115,56 @@ def test_dimension_mismatch_rejected():
         nnls_fit(np.ones((3, 4)), np.ones((2, 5)))
     with pytest.raises(ValueError):
         kkt_residual(np.ones((3, 4)), np.ones((2, 4)), np.ones((3, 3)))
+
+
+@st.composite
+def nnls_problems(draw):
+    """(X, H) with small integer-valued entries and hostile shapes.
+
+    Covers n = 1, p = 1, k > p, X = 0, duplicate rows and zero rows of H.
+    Integer entries keep H away from near-dependence, where a fit through
+    H H^T cannot certify KKT 1e-8 in float64.
+    """
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 8))
+    X = draw(arrays(np.float64, (n, p), elements=st.integers(-4, 4).map(float)))
+    H = draw(arrays(np.float64, (k, p), elements=st.integers(-3, 3).map(float)))
+    if draw(st.booleans()):
+        X[:] = 0.0
+    if k > 1 and draw(st.booleans()):
+        H[draw(st.integers(0, k - 1))] = H[draw(st.integers(0, k - 1))]
+    if draw(st.booleans()):
+        H[draw(st.integers(0, k - 1))] = 0.0
+    return X, H
+
+
+def _fit_quietly(X, H, **kw):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "H has zero rows", RuntimeWarning)
+        return nnls_fit(X, H, **kw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nnls_problems())
+def test_fit_is_no_worse_than_the_reference_solver(problem):
+    X, H = problem
+    sol = _fit_quietly(X, H)
+    assert sol.W.min() >= 0.0
+    assert sol.converged
+    assert kkt_residual(X, H, sol.W) <= 1e-8
+    for i in range(X.shape[0]):
+        _, rnorm = scipy_nnls(H.T, X[i])
+        mine = 0.5 * np.sum((X[i] - sol.W[i] @ H) ** 2)
+        # Relative to 0.5 * ||x_i||^2, the objective at w = 0.
+        assert mine <= 0.5 * rnorm**2 + 1e-9 * 0.5 * X[i] @ X[i]
+
+
+@settings(max_examples=150, deadline=None)
+@given(nnls_problems())
+def test_rows_solved_alone_match_the_joint_solve(problem):
+    X, H = problem
+    joint = _fit_quietly(X, H).W
+    for i in range(X.shape[0]):
+        alone = _fit_quietly(X[i : i + 1], H).W
+        assert np.abs(alone[0] - joint[i]).max() <= 1e-10

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from archpursuit import _rng
 
@@ -63,3 +64,14 @@ def test_uniform_range():
 def test_invalid_requests():
     with pytest.raises(ValueError):
         _rng.uniform_rows(0, 0, 0, 1, 0)
+
+
+def test_gaussian_rows_finite_at_the_grid_ends(monkeypatch):
+    # Philox uniforms lie on the 2^-53 grid in [0, 1 - 2^-53]; the top point
+    # plus the half-ulp shift rounds to 1.0, which ndtri maps to +inf.
+    grid = np.array([[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
+    monkeypatch.setattr(_rng, "uniform_rows", lambda *args: grid.copy())
+    g = _rng.gaussian_rows(3, _rng.DOMAIN_FUNCTIONALS, 0, 1, 4)[0]
+    assert np.isfinite(g).all()
+    assert np.array_equal(g[:3], ndtri(grid[0, :3] + 2.0**-54))
+    assert 8.2 < g[3] < 8.3
