@@ -6,6 +6,10 @@ omega_i over all extreme points sum to one, and each lies in [0, 1/2).  The
 number of random functionals needed to find everything scales like
 kappa * log(k/delta) with kappa = 1 / log(1 / max_i(1 - 2*omega_i)).
 
+The Monte Carlo estimate of the omega_i draws its directions in the row space
+of X, not in R^p: a score z.x_i sees only the part of z inside that space, so
+a rank-r X needs Gaussian draws in R^r (see ``estimate_solid_angles``).
+
 Also includes numeric verification of the spherical-cap area bounds and of
 the two inequalities tying solid angles to simplicial constants (the distance
 from an extreme point to the hull of the others), on synthetic polytopes with
@@ -40,18 +44,44 @@ def estimate_solid_angles(
     z.x_i gets the sample; ties (measure zero) count for nobody.  Returns
     (omega_hat, standard_errors) aligned with ext_indices.  A candidate row
     that is not actually extreme simply estimates to zero.
+
+    X is first scaled by the power of two that puts max|X| in [0.5, 1).  The
+    scaling is exact and leaves every angle alone; afterwards no score of a
+    finite direction overflows to a false tie, and an X near underflow no
+    longer loses its scores to zero.
+
+    Directions are drawn in the row space of X.  With the thin SVD
+    X = U S V, the rank r counts the singular values above
+    s_0 * max(n, p) * eps; the parts of the rows outside the top r right
+    singular vectors V_r are then no larger than the rounding error of the
+    scoring gemm itself.  For z ~ N(0, I_p), z.x_i = (V_r z).(V_r x_i) and
+    V_r z ~ N(0, I_r), so scoring r-dimensional draws against Y = X V_r^T is
+    exact in distribution and costs r/p of the generation and the gemm.
+
+    Seeded results: for rank r = p (and for X = 0) the draws stay in R^p and
+    omega_hat is bit-identical to sampling without the row-space step; for
+    r < p the directions come from the r-wide rows of the same
+    ``DOMAIN_ANGLES`` stream, so the seeded estimate changes while its
+    distribution does not.
     """
     X = require_matrix(X, "X")
     ext_indices = np.asarray(ext_indices, dtype=np.int64)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     n, p = X.shape
+    X = np.ldexp(X, -math.frexp(max(X.max(initial=0.0), -X.min(initial=0.0)))[1])
+    Y = X
+    if X.any():
+        _, s, Vt = np.linalg.svd(X, full_matrices=False)
+        r = int((s > s[0] * max(n, p) * np.finfo(np.float64).eps).sum())
+        if r < p:
+            Y = X @ Vt[:r].T
     wins = np.zeros(n, dtype=np.int64)
     done = 0
     while done < samples:
         b = min(_SAMPLE_BLOCK, samples - done)
-        Z = _rng.gaussian_rows(seed, _rng.DOMAIN_ANGLES, done, b, p)
-        S = Z @ X.T
+        Z = _rng.gaussian_rows(seed, _rng.DOMAIN_ANGLES, done, b, Y.shape[1])
+        S = Z @ Y.T
         top = S.max(axis=1)
         unique = (S == top[:, None]).sum(axis=1) == 1
         winners = np.argmax(S, axis=1)[unique]

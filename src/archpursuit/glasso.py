@@ -116,7 +116,8 @@ class LassoPath:
     weights[t] is the (n, k) solution at lambdas[t]; group_norms[t, i] is
     ||w_i||_2 there; active[t] lists the groups above the activity threshold;
     objectives[t] is the penalized objective 0.5*||X - W H||_F^2 + lambda*sum t_i.
-    fit_objectives[t] is the unpenalized half squared residual.
+    fit_objectives[t] is the unpenalized half squared residual.  iterations[t]
+    counts the APG iterations spent at lambdas[t].
     """
 
     lambdas: np.ndarray
@@ -125,6 +126,7 @@ class LassoPath:
     active: tuple[tuple[int, ...], ...]
     objectives: np.ndarray
     fit_objectives: np.ndarray
+    iterations: np.ndarray
 
 
 def solve_path(
@@ -138,7 +140,9 @@ def solve_path(
     over a 10-iteration window drops below tol.  Within an iteration the
     smooth part (quadratic fit + linear penalty) takes a gradient step and
     each group is projected back onto cone ∩ orthant, so W stays entrywise
-    non-negative exactly.
+    non-negative exactly.  A penalty that uses up max_iter_per_lambda
+    iterations without meeting the stopping rule is named in a
+    RuntimeWarning; its solution is the last accepted iterate.
     """
     X, H = prob.X, prob.H
     n = X.shape[0]
@@ -162,6 +166,8 @@ def solve_path(
     active_out = []
     objectives = np.zeros(prob.lambda_grid.size)
     fit_objectives = np.zeros(prob.lambda_grid.size)
+    iterations = np.zeros(prob.lambda_grid.size, dtype=np.int64)
+    capped = []
 
     # Rounding-aware slack for the monotone test (see nnls.py).
     slack = 32.0 * np.finfo(np.float64).eps * (xx + 1.0)
@@ -171,7 +177,8 @@ def solve_path(
         mom = 1.0
         F = fit_value(W) + lam * float(t.sum())
         window = []
-        for _ in range(max_iter_per_lambda):
+        used = 0
+        for used in range(1, max_iter_per_lambda + 1):
             grad_w = Y_w @ HHt - XHt
             V_w, V_t = _project_groups(Y_w - grad_w / L, Y_t - lam / L)
             F_new = fit_value(V_w) + lam * float(V_t.sum())
@@ -191,6 +198,9 @@ def solve_path(
             F = F_new
             if len(window) >= 10 and max(window[-10:]) < tol:
                 break
+        else:
+            capped.append(gi)
+        iterations[gi] = used
         norms = np.linalg.norm(W, axis=0)
         thresh = ACTIVITY_THRESHOLD * (norms.max() if norms.size else 0.0)
         weights.append(W.copy())
@@ -199,6 +209,13 @@ def solve_path(
         fit_objectives[gi] = fit_value(W)
         objectives[gi] = fit_objectives[gi] + lam * float(t.sum())
 
+    if capped:
+        warnings.warn(
+            f"solve_path reached max_iter_per_lambda={max_iter_per_lambda} "
+            f"without converging at lambda indices {capped}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return LassoPath(
         lambdas=prob.lambda_grid.copy(),
         weights=tuple(weights),
@@ -206,6 +223,7 @@ def solve_path(
         active=tuple(active_out),
         objectives=objectives,
         fit_objectives=fit_objectives,
+        iterations=iterations,
     )
 
 

@@ -20,6 +20,7 @@ from archpursuit import (
     required_m,
     simplicial_constant,
 )
+from archpursuit import _rng
 from archpursuit.geometry import cap_area_estimate
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -102,6 +103,101 @@ def test_polygon_angles_match_exact_formula():
         )
         for o, s, e in zip(omega, se, exact):
             assert abs(o - e) <= 3 * max(s, 1e-4)
+
+
+def rp_solid_angles(X, ext, samples, seed):
+    """The estimator without the row-space step: every direction drawn in
+    R^p and scored against X itself."""
+    X = np.asarray(X, dtype=np.float64)
+    n, p = X.shape
+    wins = np.zeros(n, dtype=np.int64)
+    done = 0
+    while done < samples:
+        b = min(8192, samples - done)
+        S = _rng.gaussian_rows(seed, _rng.DOMAIN_ANGLES, done, b, p) @ X.T
+        top = S.max(axis=1)
+        unique = (S == top[:, None]).sum(axis=1) == 1
+        np.add.at(wins, np.argmax(S, axis=1)[unique], 1)
+        done += b
+    return wins[list(ext)] / samples
+
+
+def embedded(V, p, seed):
+    """Rows of V mapped into R^p by a random orthonormal map."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, V.shape[1])))
+    return V @ Q.T
+
+
+def test_full_column_rank_bit_identical_to_rp_sampling():
+    rng = np.random.default_rng(40)
+    for X in (SQUARE, regular_simplex(5).vertices, rng.standard_normal((30, 8))):
+        ext = list(range(X.shape[0]))
+        omega, _ = estimate_solid_angles(X, ext, samples=20_000, seed=41)
+        assert np.array_equal(omega, rp_solid_angles(X, ext, 20_000, 41))
+
+
+def test_embedded_polygon_matches_exact_angles():
+    angles = np.sort(np.random.default_rng(42).uniform(0.0, 2.0 * math.pi, 7))
+    V = np.column_stack([np.cos(angles), np.sin(angles)])
+    exact = polygon_exact_angles(V)
+    for p in (3, 50, 500):
+        omega, se = estimate_solid_angles(
+            embedded(V, p, seed=p), list(range(7)), samples=80_000, seed=43
+        )
+        for o, s, e in zip(omega, se, exact):
+            assert abs(o - e) <= 4 * max(s, 1e-4)
+
+
+def test_directions_are_drawn_in_the_row_space(monkeypatch):
+    widths = []
+    draw = _rng.gaussian_rows
+
+    def spy(seed, domain, first_row, n_rows, row_len):
+        widths.append(row_len)
+        return draw(seed, domain, first_row, n_rows, row_len)
+
+    monkeypatch.setattr(_rng, "gaussian_rows", spy)
+    inst = gen_uniform_separable(40, 12, 4, seed=5)  # rank 4 in R^12
+    for X, r in ((inst.X, 4), (embedded(SQUARE, 50, seed=44), 2), (SQUARE, 2)):
+        widths.clear()
+        estimate_solid_angles(X, [0, 1], samples=10_000, seed=45)
+        assert widths == [r, r]
+
+
+def test_duplicated_vertex_in_row_space_scores_zero():
+    angles = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
+    V = np.column_stack([np.cos(angles), np.sin(angles)])
+    X = embedded(np.vstack([V, V[3]]), 50, seed=46)
+    omega, _ = estimate_solid_angles(X, list(range(8)), samples=20_000, seed=47)
+    assert omega[3] == omega[7] == 0.0
+    assert (np.delete(omega, [3, 7]) > 0.1).all()
+
+
+def test_degenerate_shapes():
+    omega, se = estimate_solid_angles(np.zeros((3, 4)), [0, 1, 2], samples=1_000, seed=48)
+    assert np.array_equal(omega, np.zeros(3)) and np.array_equal(se, np.zeros(3))
+    rng = np.random.default_rng(49)
+    for X in (rng.standard_normal((1, 5)), np.zeros((1, 5)), [[0.0], [1.0], [-2.0], [1.0]]):
+        X = np.asarray(X)
+        ext = list(range(X.shape[0]))
+        omega, _ = estimate_solid_angles(X, ext, samples=3_000, seed=50)
+        assert np.array_equal(omega, rp_solid_angles(X, ext, 3_000, 50))
+
+
+def test_extreme_scales_give_unscaled_counts():
+    # Row 0 is the midpoint of rows 1 and 2.  Unscaled R^p sampling already
+    # overflows to tied infinities at 1.7e308 and underflows to a positive
+    # angle for row 0 at 2^-1070.
+    R = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    # A rank-2 map into R^50 on the 1/8 grid keeps the 2^-1070 copy exact.
+    M = np.random.default_rng(51).integers(-4, 5, (2, 50)) / 8.0
+    for X in (R, R @ M):
+        base, _ = estimate_solid_angles(X, range(4), samples=20_000, seed=0)
+        assert base[0] == 0.0
+        for scaled in (X * 1.7e308, X * 2.0**-1070):
+            assert np.isfinite(scaled).all()
+            omega, _ = estimate_solid_angles(scaled, range(4), samples=20_000, seed=0)
+            assert np.array_equal(omega, base)
 
 
 # ---------------------------------------------------------------------------

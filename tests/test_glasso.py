@@ -1,5 +1,7 @@
 """Cone-orthant projection (against independent oracles) and the lasso path."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,20 @@ def test_true_extremes_persist_longer_than_interior():
     assert sorted(top) == [0, 1, 2, 3]
 
 
+def test_path_reports_iterations_and_cap_hits():
+    _, X, H = _small_problem()
+    grid = default_lambda_grid(lambda_max(X, H), num=4)
+    # The stopping rule needs a 10-iteration window, so a cap of 2 stops
+    # every penalty short.
+    with pytest.warns(RuntimeWarning, match=r"max_iter_per_lambda=2 .*\[0, 1, 2, 3\]"):
+        short = solve_path(GroupLassoProblem(X, H, grid), max_iter_per_lambda=2)
+    assert short.iterations.tolist() == [2, 2, 2, 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        full = solve_path(GroupLassoProblem(X, H, grid))
+    assert ((full.iterations >= 10) & (full.iterations < 5000)).all()
+
+
 def test_select_by_persistence_rules():
     _, X, H = _small_problem(seed=9)
     lam = lambda_max(X, H)
@@ -227,6 +243,7 @@ def _fabricated_path(active, norms, lambdas):
         active=tuple(tuple(a) for a in active),
         objectives=np.zeros(T),
         fit_objectives=np.zeros(T),
+        iterations=np.zeros(T, dtype=np.int64),
     )
 
 
