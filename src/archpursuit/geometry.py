@@ -50,13 +50,16 @@ def estimate_solid_angles(
     finite direction overflows to a false tie, and an X near underflow no
     longer loses its scores to zero.
 
-    Directions are drawn in the row space of X.  With the thin SVD
-    X = U S V, the rank r counts the singular values above
-    s_0 * max(n, p) * eps; the parts of the rows outside the top r right
-    singular vectors V_r are then no larger than the rounding error of the
-    scoring gemm itself.  For z ~ N(0, I_p), z.x_i = (V_r z).(V_r x_i) and
-    V_r z ~ N(0, I_r), so scoring r-dimensional draws against Y = X V_r^T is
-    exact in distribution and costs r/p of the generation and the gemm.
+    Directions are drawn in the row space of X.  The rank r counts the
+    singular values above s_0 * max(n, p) * eps; the parts of the rows
+    outside the top r right singular vectors V_r are then no larger than the
+    rounding error of the scoring gemm itself.  For z ~ N(0, I_p),
+    z.x_i = (V_r z).(V_r x_i) and V_r z ~ N(0, I_r), so scoring
+    r-dimensional draws against Y = X V_r^T is exact in distribution and
+    costs r/p of the generation and the gemm.  The rank is found without
+    paying for an SVD where it cannot help (see ``_row_space``): a tall X
+    whose triangular QR factor is well conditioned has r = p and goes
+    straight to R^p sampling.
 
     Seeded results: for rank r = p (and for X = 0) the draws stay in R^p and
     omega_hat is bit-identical to sampling without the row-space step; for
@@ -70,12 +73,8 @@ def estimate_solid_angles(
         raise ValueError(f"samples must be >= 1, got {samples}")
     n, p = X.shape
     X = np.ldexp(X, -math.frexp(max(X.max(initial=0.0), -X.min(initial=0.0)))[1])
-    Y = X
-    if X.any():
-        _, s, Vt = np.linalg.svd(X, full_matrices=False)
-        r = int((s > s[0] * max(n, p) * np.finfo(np.float64).eps).sum())
-        if r < p:
-            Y = X @ Vt[:r].T
+    Vr = _row_space(X) if X.any() else None
+    Y = X if Vr is None else X @ Vr.T
     wins = np.zeros(n, dtype=np.int64)
     done = 0
     while done < samples:
@@ -90,6 +89,33 @@ def estimate_solid_angles(
     omega = wins[ext_indices] / samples
     se = np.sqrt(omega * (1.0 - omega) / samples)
     return omega, se
+
+
+def _row_space(X: np.ndarray) -> np.ndarray | None:
+    """Orthonormal rows V_r spanning the row space of a nonzero X, or None
+    when X has full column rank (r = p).
+
+    A wide X (n < p) has r <= n < p, so its thin SVD always pays.  A tall or
+    square X first takes the triangular factor R of X = QR, which has the
+    singular values and right singular vectors of X.  If
+    ||R||_F * ||R^-1||_F, an upper bound on the condition number, is below
+    2^-10 / (max(n, p) * eps), every singular value clears the rank threshold
+    by a factor 2^10, so r = p at the cost of one QR and one inverse.  Since
+    ||R^-1||_F >= 1 / min|r_ii|, a small diagonal entry skips the inverse.
+    Otherwise the SVD of the p x p factor R gives r and V_r.
+    """
+    n, p = X.shape
+    tol = max(n, p) * np.finfo(np.float64).eps
+    if n < p:
+        _, s, Vt = np.linalg.svd(X, full_matrices=False)
+    else:
+        R = np.linalg.qr(X, mode="r")
+        bound = 2.0**-10 / (tol * np.linalg.norm(R))
+        if np.abs(np.diag(R)).min() * bound > 1.0 and np.linalg.norm(np.linalg.inv(R)) < bound:
+            return None
+        _, s, Vt = np.linalg.svd(R)
+    r = int((s > s[0] * tol).sum())
+    return Vt[:r] if r < p else None
 
 
 def condition_kappa(omega) -> tuple[float, float]:

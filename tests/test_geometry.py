@@ -164,6 +164,30 @@ def test_directions_are_drawn_in_the_row_space(monkeypatch):
         assert widths == [r, r]
 
 
+def test_well_conditioned_tall_input_skips_the_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rng = np.random.default_rng(52)
+    X = rng.standard_normal((60, 10))
+    omega, _ = estimate_solid_angles(X, range(60), samples=5_000, seed=53)
+    assert calls == []
+    assert np.array_equal(omega, rp_solid_angles(X, range(60), 5_000, 53))
+    # Condition number 1e11 is past the QR certificate but still rank 10 by
+    # the SVD rule: the SVD of the 10x10 factor runs and the draws stay in R^p.
+    U, _ = np.linalg.qr(rng.standard_normal((60, 10)))
+    V, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+    X = (U * np.logspace(0, -11, 10)) @ V
+    omega, _ = estimate_solid_angles(X, range(60), samples=5_000, seed=54)
+    assert calls == [(10, 10)]
+    assert np.array_equal(omega, rp_solid_angles(X, range(60), 5_000, 54))
+
+
 def test_duplicated_vertex_in_row_space_scores_zero():
     angles = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
     V = np.column_stack([np.cos(angles), np.sin(angles)])
