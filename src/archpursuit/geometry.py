@@ -10,23 +10,25 @@ The Monte Carlo estimate of the omega_i draws its directions in the row space
 of X, not in R^p: a score z.x_i sees only the part of z inside that space, so
 a rank-r X needs Gaussian draws in R^r (see ``estimate_solid_angles``).
 
-Also includes numeric verification of the spherical-cap area bounds and of
-the two inequalities tying solid angles to simplicial constants (the distance
-from an extreme point to the hull of the others), on synthetic polytopes with
-known vertex adjacency.
+The simplicial constant alpha_i, the distance from extreme point i to the
+hull of the others, is solved exactly as a least-distance NNLS (see
+``simplicial_constant``).  Also included: numeric checks of the
+spherical-cap area bounds and of the two inequalities tying solid angles to
+simplicial constants, on synthetic polytopes with known vertex adjacency.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _rng
 from .matrix_io import require_matrix
-from .nnls import power_iteration
+from .nnls import nnls_fit
 
 _SAMPLE_BLOCK = 8192
 
@@ -154,52 +156,70 @@ def required_m(omega, k: int, delta: float) -> int:
 # Simplicial constants
 
 
-def _nearest_in_hull(h: np.ndarray, A: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
-    """min_s ||h - A^T s|| over the probability simplex, by accelerated
-    projected gradient with exact simplex projection.  Returns (distance, s)."""
-    r = A.shape[0]
-    AAt = A @ A.T
-    Ah = A @ h
-    L = 1.01 * power_iteration(AAt)
-    if L <= 0.0:
-        # All candidate points at the origin.
-        s = np.full(r, 1.0 / r)
-        return float(np.linalg.norm(h)), s
-    s = np.full(r, 1.0 / r)
-    y = s.copy()
-    mom = 1.0
-    obj = 0.5 * float(s @ (AAt @ s)) - float(Ah @ s)
-    # Rounding-aware slack for the monotone test (see nnls.py).
-    slack = 32.0 * np.finfo(np.float64).eps * (float(np.abs(AAt).max()) + float(h @ h) + 1.0)
-    for _ in range(20000):
-        grad = AAt @ y - Ah
-        v = project_simplex(y - grad / L)
-        new_obj = 0.5 * float(v @ (AAt @ v)) - float(Ah @ v)
-        if new_obj > obj + slack:
-            y, mom = s.copy(), 1.0
-            continue
-        mom_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * mom * mom))
-        y = v + ((mom - 1.0) / mom_next) * (v - s)
-        s, mom, obj = v, mom_next, new_obj
-        # Fixed-point certificate: s is optimal iff it equals its own
-        # projected gradient step.
-        step = project_simplex(s - (AAt @ s - Ah) / L)
-        if float(np.abs(step - s).max()) <= tol:
-            break
-    return float(np.linalg.norm(h - A.T @ s)), s
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+def _nearest_in_hull(h, A, tol: float, what: str) -> tuple[float, np.ndarray]:
+    """(alpha, s): distance from h to conv(rows of A) and the hull weights of
+    the nearest point, as in ``simplicial_constant``; warnings name ``what``."""
+    if not 0.0 <= tol < 1.0:  # tol >= c^2 >= 1 would accept u = 0
+        raise ValueError(f"tol must lie in [0, 1), got {tol}")
+    e = math.frexp(max(np.abs(A).max(), np.abs(h).max()))[1]
+    B = np.ldexp(A, -e) - np.ldexp(h, -e)
+    k, p = B.shape
+    c = max(float(np.abs(B).max()), 1.0)
+    sol = nnls_fit(np.append(np.zeros(p), c)[None, :], np.column_stack([B, np.full(k, c)]), tol)
+    sigma = float(sol.W[0].sum())
+    s = sol.W[0] / sigma
+    y = s @ B
+    dist = np.linalg.norm(B, axis=1)
+    tau = 4.0 * (k + p) * np.finfo(np.float64).eps * dist.max()
+    F = np.flatnonzero(s)
+    K = np.pad(B[F] @ B[F].T, (0, 1), constant_values=1.0)
+    K[-1, -1] = 0.0
+    polished = np.zeros(k)
+    try:
+        polished[F] = np.linalg.solve(K, np.eye(F.size + 1)[-1])[:-1]
+    except np.linalg.LinAlgError:  # affinely dependent support: keep s
+        polished = s
+    y_polished = polished @ B
+    if (polished[F] > 0.0).all() and np.linalg.norm(y_polished) <= np.linalg.norm(y) + tau:
+        s, y = polished, y_polished
+    j = int(np.argmin(dist))
+    if dist[j] < np.linalg.norm(y):
+        s, y = np.eye(k)[j], B[j]
+    alpha = float(np.linalg.norm(y))
+    gap = alpha * alpha - float((B @ y).min())
+    slack = tau * dist.max() + 2.0 * tol / sigma
+    if not sol.converged or (alpha > tau and gap > slack):
+        warnings.warn(
+            f"simplicial constant of {what}: NNLS KKT {sol.kkt:.3g} (tol={tol:g}), "
+            f"Wolfe certificate gap {gap:.3g} (allowed {slack:.3g})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return (0.0 if alpha <= tau else math.ldexp(alpha, e)), s
 
 
 def simplicial_constant(X, ext_indices, i: int, tol: float = 1e-8) -> float:
-    """Distance from extreme row i to the convex hull of the other extreme rows."""
+    """Distance from extreme row i to the convex hull of the other extreme rows.
+
+    Least-distance reduction (Lawson & Hanson 1974, ch. 23): h = x_i and the
+    other rows a_j are scaled exactly by the power of two that puts their
+    max|entry| in [0.5, 1).  With b_j = a_j - h and c = max(max|b|, 1), the
+    NNLS of [0, ..., 0, c] against the rows [b_j, c] to KKT tol gives u >= 0,
+    sigma = sum(u) > 0, and s = u / sigma minimizing ||y||, y = s B, over the
+    simplex; alpha is ||y|| scaled back.  Polish: the Gram-form NNLS leaves
+    s some ulps off, so s is re-solved on its support F from
+    [[B_F B_F^T, 1], [1^T, 0]] [s_F; lam] = [0; 1], kept when positive and
+    no farther from the origin (within tau).  A nearer vertex replaces y, so
+    alpha never exceeds min_j ||b_j||.  Snap: y errs by about k eps max||b_j||
+    from its k-term sums and p eps max||b_j|| from the solve's p-term
+    products, so ||y|| <= tau = 4 (k + p) eps max_j ||b_j|| reads as 0 (row i
+    inside the hull of the others, or a duplicate).  Certificate (Wolfe
+    1976): y is optimal iff min_j b_j.y >= ||y||^2.  The NNLS gradient is
+    sigma (b_j.y - ||y||^2) off its support and 0 on it, so KKT tol bounds
+    the gap ||y||^2 - min_j b_j.y by tol / sigma, and alpha lies within
+    gap / ||y|| of the exact distance.  An unconverged NNLS, or a gap above
+    2 tol / sigma + tau max_j ||b_j||, emits a RuntimeWarning naming row i.
+    """
     X = require_matrix(X, "X")
     ext_indices = [int(j) for j in ext_indices]
     if len(ext_indices) < 2:
@@ -207,7 +227,7 @@ def simplicial_constant(X, ext_indices, i: int, tol: float = 1e-8) -> float:
     if i not in ext_indices:
         raise ValueError(f"index {i} is not among the extreme indices")
     others = [j for j in ext_indices if j != i]
-    alpha, _ = _nearest_in_hull(X[i], X[others], tol)
+    alpha, _ = _nearest_in_hull(X[i], X[others], tol, f"row {i}")
     return alpha
 
 
@@ -515,7 +535,7 @@ def check_simplicial_lemmas(
                 for b in range(a + 1, len(nbrs))
             ) if len(nbrs) >= 2 else 0.0
             alpha, s = _nearest_in_hull(
-                V[i], np.delete(V, i, axis=0), alpha_tol
+                V[i], np.delete(V, i, axis=0), alpha_tol, f"{poly.name} vertex {i}"
             )
             note = ""
             r_min = None

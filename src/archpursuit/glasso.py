@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_io import require_matrix
-from .nnls import power_iteration
 
 # ||w_i||_2 below this fraction of the largest group norm counts as inactive
 # (absorbs first-order solver fuzz).
@@ -33,13 +32,15 @@ def project_cone_orthant(x) -> np.ndarray:
     """Project onto (second-order cone) ∩ (non-negative orthant).
 
     The last coordinate is the cone height t, the first q-1 are the group
-    coefficients.  The single-group case of ``_project_groups``.
+    coefficients.  The single-group case of ``_project_groups``, on x scaled
+    exactly by a power of two so that the group norm cannot overflow or underflow.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] < 2:
         raise ValueError(f"expected a vector of length >= 2, got shape {x.shape}")
-    w, t = _project_groups(x[:-1, None], x[-1:])
-    return np.append(w[:, 0], t)
+    e = math.frexp(float(np.abs(x).max()))[1]
+    w, t = _project_groups(np.ldexp(x[:-1, None], -e), np.ldexp(x[-1:], -e))
+    return np.ldexp(np.append(w[:, 0], t), e)
 
 
 def _project_groups(W: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +151,7 @@ def solve_path(
     HHt = H @ H.T
     XHt = X @ H.T
     xx = float(np.einsum("ij,ij->", X, X))
-    L = 1.01 * power_iteration(HHt)
+    L = 1.01 * float(np.linalg.eigvalsh(HHt)[-1])
     if L <= 0.0:
         raise ValueError("H has no energy; group lasso path is undefined")
 

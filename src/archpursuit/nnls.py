@@ -28,29 +28,6 @@ class NnlsSolution:
     kkt: float
 
 
-def power_iteration(M: np.ndarray, iters: int = 50, tol: float = 1e-10) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Deterministic start vector (fixed-seed Gaussian) so repeated solves are
-    bit-reproducible.
-    """
-    k = M.shape[0]
-    v = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15)).standard_normal(k)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = M @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        new = float(v @ (M @ v))
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
-            return new
-        lam = new
-    return lam
-
-
 def kkt_residual(X, H, W) -> float:
     """Optimality certificate max |min(W, G)| with G = (W H - X) H^T.
 

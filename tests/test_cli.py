@@ -226,6 +226,26 @@ def test_diagnose_cli(tmp_path, instance_csv):
     assert summary["m_required"] >= 1
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_diagnose_at_hostile_scales(tmp_path, scale):
+    # The unit square plus its centre: alpha = sqrt(1/2) * scale at each corner.
+    path = tmp_path / "X.csv"
+    save_csv(scale * np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]]), path)
+    prefix = tmp_path / "diag"
+    rc = main(
+        [
+            "diagnose",
+            "--input", str(path),
+            "--archetypes", "0,1,2,3",
+            "--samples", "2000",
+            "--out-prefix", str(prefix),
+        ]
+    )
+    assert rc == 0
+    alpha = load_csv(f"{prefix}_points.csv", skip_header=True)[:, 3]
+    assert alpha == pytest.approx(np.full(4, np.sqrt(0.5) * scale), rel=1e-12, abs=0.0)
+
+
 def test_diagnose_requires_archetypes_or_m(tmp_path, instance_csv):
     path, _ = instance_csv
     rc = main(["diagnose", "--input", str(path), "--out-prefix", str(tmp_path / "x")])

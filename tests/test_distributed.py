@@ -4,6 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial import ConvexHull
 
 from archpursuit import (
     ExecutionTrace,
@@ -193,3 +197,45 @@ def test_distributed_weights_converged_is_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         distributed_weights(inst.X, Partition.contiguous(200, 4), list(inst.true_extreme_indices))
+
+
+def hull_vertices(X):
+    """Vertices of conv(rows of X) as a set of points, for p <= 3.
+
+    Qhull needs a full-dimensional input, so the rows are first written in
+    coordinates of their affine hull; a segment or a point is handled
+    directly.
+    """
+    C = X - X[0]
+    r = np.linalg.matrix_rank(C)
+    if r == 0:
+        keep = [0]
+    elif r == 1:
+        t = C @ C[np.flatnonzero(np.abs(C).sum(axis=1))[0]]
+        keep = [int(np.argmin(t)), int(np.argmax(t))]
+    else:
+        keep = ConvexHull(C if r == X.shape[1] else C @ np.linalg.svd(C)[2][:r].T).vertices
+    return {tuple(X[i]) for i in keep}
+
+
+@st.composite
+def grid_clouds(draw):
+    """Rows on a small integer grid in R^2 or R^3, with duplicated rows and
+    midpoints of row pairs, which lie on edges, facets or inside."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 14))
+    X = draw(arrays(np.float64, (n, p), elements=st.integers(-3, 3).map(lambda v: 2.0 * v)))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+    rows = [X] + [(X[a] + X[b])[None, :] / 2.0 for a, b in extra]
+    return np.vstack(rows)[draw(st.permutations(range(n + len(extra))))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_clouds(), st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_every_returned_row_is_a_hull_vertex(X, workers, seed):
+    vertices = hull_vertices(X)
+    cfg = PursuitConfig(m=25, seed=seed)
+    part = random_partition(X.shape[0], workers, np.random.default_rng(seed))
+    found = pursue(X, cfg)
+    assert run_distributed(X, part, cfg) == found
+    assert {tuple(X[i]) for i in found.indices} <= vertices

@@ -1,9 +1,13 @@
 """Solid angles, simplicial constants, sample-size formula, inequality checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from archpursuit import (
     PursuitConfig,
@@ -21,7 +25,7 @@ from archpursuit import (
     simplicial_constant,
 )
 from archpursuit import _rng
-from archpursuit.geometry import cap_area_estimate
+from archpursuit.geometry import _nearest_in_hull, cap_area_estimate
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -279,6 +283,100 @@ def test_simplicial_errors():
         simplicial_constant(np.eye(3), [0], 0)
     with pytest.raises(ValueError):
         simplicial_constant(np.eye(3), [0, 1], 2)
+
+
+SQUARE_AND_CENTRE = np.vstack([SQUARE, [[0.5, 0.5]]])
+
+
+def test_simplicial_constant_at_hostile_scales():
+    # Unscaled, the Gram matrix of these rows underflows at 1e-200 and
+    # overflows at 1e200.
+    base = [simplicial_constant(SQUARE_AND_CENTRE, range(4), i) for i in range(4)]
+    assert base == [math.sqrt(0.5)] * 4
+    for scale in (1e-200, 1e200):
+        for i in range(4):
+            alpha = simplicial_constant(scale * SQUARE_AND_CENTRE, range(4), i)
+            assert alpha == pytest.approx(math.sqrt(0.5) * scale, rel=1e-15, abs=0.0)
+    # max|X| = 2^(e-1) with e = +-1000: power-of-two scaling is exact, so the
+    # scaled solve is the unit one bit for bit.
+    for e in (-1000, 1000):
+        X = np.ldexp(SQUARE_AND_CENTRE, e - 1)
+        got = [simplicial_constant(X, range(4), i) for i in range(4)]
+        assert got == [math.ldexp(a, e - 1) for a in base]
+        assert np.array_equal(
+            geometry_report(X, range(4), samples=1_000, seed=0).alpha_hat,
+            np.ldexp(base, e - 1),
+        )
+
+
+def test_simplicial_constant_is_exactly_zero_inside_the_hull():
+    assert simplicial_constant(SQUARE_AND_CENTRE, range(5), 4) == 0.0
+    X = np.vstack([SQUARE, SQUARE[1]])
+    assert simplicial_constant(X, range(5), 1) == 0.0
+    assert simplicial_constant(X, range(5), 4) == 0.0
+    assert simplicial_constant([[0.0], [1.0], [3.0]], range(3), 1) == 0.0
+    assert simplicial_constant([[0.0], [1.0], [3.0]], range(3), 2) == 2.0
+
+
+def test_simplicial_constant_never_exceeds_the_nearest_vertex():
+    # Rows 1 and 2 nearly tie: their NNLS gradients differ by less than tol,
+    # so the solve may mix them, though row 1 alone is nearest to row 0.
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0 + 1e-9, 1e-9]])
+    assert simplicial_constant(X, range(3), 0) == 1.0
+
+
+def test_simplicial_constant_warns_when_the_solve_stops_short():
+    X = np.random.default_rng(6).random((8, 5))
+    with pytest.warns(RuntimeWarning, match="simplicial constant of row 3"):
+        simplicial_constant(X, range(8), 3, tol=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geometry_report(gen_uniform_separable(100, 60, 10, seed=7).X, range(10), samples=1_000)
+
+
+def test_simplicial_constant_rejects_a_tolerance_outside_0_1():
+    # At tol >= 1 the NNLS would accept u = 0, which has no hull weights.
+    for tol in (-1e-8, 1.0, 10.0):
+        with pytest.raises(ValueError, match="tol"):
+            simplicial_constant(SQUARE, range(4), 0, tol=tol)
+
+
+@st.composite
+def hulls(draw):
+    """(h, A, e): h and the rows of A on a small integer grid, scaled by 2^e.
+
+    Covers p = 1, k = 1, h on a vertex (duplicates), h inside the hull and
+    exact ties.
+    """
+    p = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8))
+    grid = st.integers(-4, 4).map(float)
+    A = draw(arrays(np.float64, (k, p), elements=grid))
+    h = draw(arrays(np.float64, (p,), elements=grid))
+    if draw(st.booleans()):
+        h = A[draw(st.integers(0, k - 1))].copy()
+    return h, A, draw(st.integers(-1000, 1000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hulls())
+def test_wolfe_certificate_holds_within_rounding(hull):
+    h, A, e = hull
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha, s = _nearest_in_hull(np.ldexp(h, e), np.ldexp(A, e), 1e-8, "h")
+    assert s.min() >= 0.0 and s.sum() == pytest.approx(1.0, abs=1e-15)
+    B = A - h
+    dist = np.linalg.norm(B, axis=1)
+    assert math.ldexp(alpha, -e) <= dist.min() * (1.0 + 4.0 * np.finfo(np.float64).eps)
+    if dist.min() == 0.0:
+        assert alpha == 0.0
+    y = s @ B
+    k, p = B.shape
+    rounding = 4.0 * (k + p) * np.finfo(np.float64).eps * dist.max() ** 2
+    assert float(y @ y) - float((B @ y).min()) <= rounding
+    if alpha > 0.0:
+        assert math.ldexp(alpha, -e) == pytest.approx(float(np.linalg.norm(y)), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from archpursuit import (
     GroupLassoProblem,
@@ -130,6 +133,38 @@ def test_projection_idempotent_and_nonexpansive():
         px, py = project_cone_orthant(x), project_cone_orthant(y)
         assert np.abs(project_cone_orthant(px) - px).max() <= 1e-12
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(np.float64, st.integers(2, 8), elements=st.floats(-1e150, 1e150)),
+    st.lists(arrays(np.float64, 7, elements=st.floats(0.0, 1e3)), min_size=1, max_size=5),
+)
+def test_projection_is_the_moreau_decomposition(x, rays):
+    # P = P_K(x) and Q = x - P split x into orthogonal parts with P in K and
+    # Q in the polar cone: <Q, z> <= 0 for every z in K.  K's extreme rays
+    # are (u, 1) with u >= 0 and ||u|| = 1; the worst one for Q has u along
+    # the positive part of Q's coefficients.  Rounding is relative to ||x||,
+    # with an absolute floor of the subnormal spacing; norms are taken on
+    # rescaled copies so that their squares cannot underflow.
+    def norm(v):
+        m = float(np.abs(v).max())
+        return m * float(np.linalg.norm(v / m)) if m > 0.0 else 0.0
+
+    P = project_cone_orthant(x)
+    Q = x - P
+    q = x.size
+    f = np.finfo(np.float64)
+    scale = 4.0 * q * (f.eps * norm(x) + f.smallest_subnormal)
+    assert P[:-1].min() >= 0.0 and norm(P[:-1]) <= P[-1] + scale
+    assert abs(float(P @ Q)) <= scale * norm(x)
+    Z = [np.eye(q)[-1]]
+    for w in (np.maximum(Q[:-1], 0.0), *(r[: q - 1] for r in rays)):
+        if w.max() > 0.0:
+            u = w / w.max()
+            Z.append(np.append(u / np.linalg.norm(u), 1.0))
+    for z in Z:
+        assert float(Q @ z) <= scale * float(np.linalg.norm(z))
 
 
 # ---------------------------------------------------------------------------
