@@ -4,9 +4,10 @@ Finding the rows of X that are extreme points of the convex hull of all rows
 gives the archetypes of an archetypal analysis and the H factor of a
 separable non-negative matrix factorization; the weights follow from a single
 non-negative least squares solve.  The package provides the randomized
-pursuit (fixed-budget and adaptive), a simulated distributed single-pass
-variant, majority-vote and non-negative group-lasso selection for noisy data,
-and geometric condition-number diagnostics.
+pursuit (fixed-budget and adaptive), a simulated distributed variant that
+reads the data once per pursuit round, majority-vote and non-negative
+group-lasso selection for noisy data, and geometric condition-number
+diagnostics.
 """
 
 from types import ModuleType as _ModuleType
@@ -35,7 +36,6 @@ from .extreme_points import (
     linear_scores,
     posterior_missed_mass,
     pursue,
-    pursue_adaptive,
     select_top_voted,
 )
 from .geometry import (

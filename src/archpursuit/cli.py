@@ -105,7 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("factorize", help="pursuit -> selection -> NNLS pipeline")
     _add_matrix_args(sp)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--adaptive", action="store_true", help="--m becomes the round batch")
+    sp.add_argument(
+        "--adaptive",
+        action="store_true",
+        help="--m becomes the round size; stop after a round that finds nothing new",
+    )
     sp.add_argument("--select", choices=("vote", "glasso"), default="vote")
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--workers", type=int, default=1)
@@ -183,9 +187,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    if args.adaptive and args.workers != 1:
-        print("error: --adaptive runs on a single worker (drop --workers)", file=sys.stderr)
-        return 2
     if args.select == "glasso" and args.k is None:
         print("error: --select glasso requires --k", file=sys.stderr)
         return 2
@@ -245,14 +246,14 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    if args.archetypes is None and args.m is None:
+        print("error: diagnose needs --archetypes or --m", file=sys.stderr)
+        return 2
     X = _load_matrix(args)
     if args.archetypes is not None:
         ext = list(args.archetypes)
-    elif args.m is not None:
-        es = pursue(X, PursuitConfig(m=args.m, seed=args.seed))
-        ext = list(es.indices)
     else:
-        raise ValueError("diagnose needs --archetypes or --m")
+        ext = list(pursue(X, PursuitConfig(m=args.m, seed=args.seed)).indices)
     rep = geometry.geometry_report(
         X, ext, samples=args.samples, seed=args.seed, delta=args.delta
     )

@@ -6,17 +6,18 @@ same functional columns from the shared seed (counter-based streams), scores
 only its local rows and sends per-functional (max value, global index) and
 (min value, global index) pairs; the central merge keeps the highest max and
 the lowest min, breaking value ties toward the lowest global row index.
-Pursuit runs on the one kernel of ``extreme_points`` (``_tally_block``) with
+Pursuit runs on the one driver of ``extreme_points`` (``_pursue_shards``) with
 one row shard per worker; serial pursuit is its one-shard case.  Every sent
 value is a per-row score, independent of how the rows are partitioned, so the
 distributed result equals the serial one exactly, votes included.  This
 module adds partition validation and the pass, byte and re-score accounting
 of ``ExecutionTrace``.
 
-The whole factorization touches the data twice: one pass for pursuit, one
-pass for the NNLS weight fit (which decomposes over rows, so each worker
-fits its local rows independently).  A worker whose fit stops short of the
-KKT tolerance emits a RuntimeWarning.
+Pursuit takes one pass over the data per round: one for a fixed budget of
+functionals, r for an adaptive run of r rounds.  The NNLS weight fit takes
+one more (it decomposes over rows, so each worker fits its local rows
+independently).  A worker whose fit stops short of the KKT tolerance emits
+a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ import numpy as np
 from .extreme_points import (
     ExtremeSet,
     PursuitConfig,
-    _extreme_set_from_counts,
     _prepared_rows,
-    _tally,
+    _pursue_shards,
 )
 from .matrix_io import require_matrix
 from .nnls import nnls_fit
@@ -104,24 +104,24 @@ def run_distributed(
 ) -> ExtremeSet:
     """Distributed pursuit over a row partition; equals pursue(X, cfg) exactly.
 
-    Each worker evaluates the same cfg.m functionals (regenerated from the
-    shared seed) on its local rows only.  One pass over the data; the merge
-    sees m * 32 bytes per worker regardless of local row counts.
+    Each worker evaluates the same functionals (regenerated from the shared
+    seed) on its local rows only.  Each round of cfg.m functionals is one
+    pass over the data, and the merge sees m * 32 bytes per worker per round
+    regardless of local row counts.  The round count r is sum(votes) / (2m).
     """
     X = _prepared_rows(X, cfg)
     if part.n_rows != X.shape[0]:
         raise ValueError(
             f"partition covers {part.n_rows} rows but X has {X.shape[0]}"
         )
-    counts = np.zeros(X.shape[0], dtype=np.int64)
     rescored = [0] * part.n_workers
-    shards = [(X[rows], rows) for rows in part.assignment]
-    _tally(shards, cfg.seed, 0, cfg.m, counts, rescored)
+    es = _pursue_shards([(X[rows], rows) for rows in part.assignment], cfg, rescored)
     if trace is not None:
-        trace.record_pass(part, cfg.m * BYTES_PER_FUNCTIONAL)
+        for _ in range(sum(es.votes.values()) // (2 * cfg.m)):
+            trace.record_pass(part, cfg.m * BYTES_PER_FUNCTIONAL)
         for d, r in enumerate(rescored):
             trace.rescored_rows[d] = trace.rescored_rows.get(d, 0) + r
-    return _extreme_set_from_counts(counts)
+    return es
 
 
 def distributed_weights(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _rng
 from .distributed import ExecutionTrace, Partition, distributed_weights, run_distributed
-from .extreme_points import ExtremeSet, PursuitConfig, pursue, pursue_adaptive, select_top_voted
+from .extreme_points import PursuitConfig, pursue, select_top_voted
 from .glasso import (
     GroupLassoProblem,
     default_lambda_grid,
@@ -293,26 +293,19 @@ def factorize(
 ) -> FactorizeResult:
     """pursuit -> selection -> NNLS weights, with pass accounting.
 
-    With adaptive=True, m is the per-round batch of the stopping-rule
-    algorithm (workers must be 1); otherwise exactly m functionals are used,
-    optionally across `workers` simulated workers.  Selection is by vote count
-    (k=None keeps every found index) or by group-lasso persistence (k
-    required).
+    Pursuit runs across `workers` simulated workers.  With adaptive=False it
+    uses exactly m functionals; with adaptive=True it runs rounds of m until
+    a round finds nothing new, and ``m_used`` is the total over all rounds.
+    Each pursuit round and the weight fit are one pass over the data each.
+    Selection is by vote count (k=None keeps every found index) or by
+    group-lasso persistence (k required).
     """
     X = require_matrix(X, "X")
     t0 = time.perf_counter()
     trace = ExecutionTrace()
     part = Partition.contiguous(X.shape[0], workers)
-    cfg = PursuitConfig(m=m, seed=seed, batch=m if adaptive else None, normalize_rows=normalize)
-    if adaptive:
-        if workers != 1:
-            raise ValueError("adaptive pursuit runs on a single worker")
-        es = pursue_adaptive(X, cfg)
-        m_used = sum(es.votes.values()) // 2
-        trace.record_pass(part, 0)
-    else:
-        es = run_distributed(X, part, cfg, trace)
-        m_used = m
+    cfg = PursuitConfig(m=m, seed=seed, patience=1 if adaptive else None, normalize_rows=normalize)
+    es = run_distributed(X, part, cfg, trace)
     path = None
     cand = ()
     if select == "vote":
@@ -339,7 +332,7 @@ def factorize(
         relative_residual=rel,
         passes=trace.passes,
         elapsed_seconds=time.perf_counter() - t0,
-        m_used=m_used,
+        m_used=sum(es.votes.values()) // 2,
         trace=trace,
         lasso_path=path,
         candidates=cand,

@@ -14,11 +14,12 @@ re-scored with the partition-independent per-row path (``linear_scores``).
 Winners, tie-breaks and winning values therefore equal those of per-row
 scoring of the whole block bit for bit (see ``block_optima``).
 
-One kernel, ``_tally_block``, runs every pursuit: per block of functionals
-it finds each row shard's (worker's) optima and merges them.  ``pursue`` is
-the one-shard case, ``pursue_adaptive`` runs it per round and
-``distributed.run_distributed`` with one shard per worker, so all three
-agree by construction.
+One driver, ``_pursue_shards``, runs every pursuit: rounds of m functionals,
+one round for a fixed budget or until ``patience`` rounds in a row find
+nothing new, each scored by the one kernel ``_tally_block``, which finds
+each row shard's (worker's) optima and merges them.  ``pursue`` is the
+one-shard case and ``distributed.run_distributed`` gives one shard per
+worker, so they agree by construction, votes included.
 """
 
 from __future__ import annotations
@@ -53,27 +54,25 @@ _MAX_EXPONENT = 960
 class PursuitConfig:
     """Configuration for pursuit runs.
 
-    m: number of random functionals (fixed-m algorithm).
+    m: number of random functionals per round.
     seed: stream seed; identical seeds give identical functionals everywhere.
-    batch: functionals per round of the adaptive algorithm (defaults to m).
+    patience: None runs one round (the fixed-m algorithm).  An integer runs
+        the adaptive algorithm: rounds of m functionals until ``patience``
+        consecutive rounds add no index not already seen.
     normalize_rows: scale each row to unit l2 norm before pursuit.  Changes
         which rows are extreme; off by default.
     """
 
     m: int
     seed: int = 0
-    batch: int | None = None
+    patience: int | None = None
     normalize_rows: bool = False
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.batch is not None and self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
-
-    @property
-    def round_size(self) -> int:
-        return self.m if self.batch is None else self.batch
+        if self.patience is not None and self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ class ExtremeSet:
     """Indices found by pursuit with per-index vote counts.
 
     ``votes[i]`` counts the functionals at which row i attained the max or the
-    min; the counts over all indices sum to exactly 2m.
+    min; the counts over all indices sum to exactly 2 * rounds * m.
     """
 
     indices: tuple[int, ...]
@@ -269,53 +268,43 @@ def _tally_block(shards, seed: int, first: int, count: int, counts: np.ndarray, 
     np.add.at(counts, np.where(tied, winners, counts.size).min(axis=0).ravel(), 1)
 
 
-def _tally(shards, seed: int, first: int, count: int, counts: np.ndarray, rescored) -> None:
-    """``_tally_block`` over functionals [first, first+count), block by block."""
-    for start in range(first, first + count, _FUNCTIONAL_BLOCK):
-        b = min(_FUNCTIONAL_BLOCK, first + count - start)
-        _tally_block(shards, seed, start, b, counts, rescored)
+def _pursue_shards(shards, cfg: PursuitConfig, rescored) -> ExtremeSet:
+    """Rounds of cfg.m functionals over the row shards, as cfg.patience asks.
+
+    Round r scores functionals [r*m, (r+1)*m) with ``_tally_block``, block by
+    block.  Votes from every round, the stopping rounds included, are
+    tallied, so a run of r rounds equals one round of r*m functionals and r
+    is sum(votes) / (2m).
+    """
+    counts = np.zeros(sum(rows.size for _, rows in shards), dtype=np.int64)
+    first, idle = 0, 0
+    while True:
+        before = np.count_nonzero(counts)
+        for start in range(first, first + cfg.m, _FUNCTIONAL_BLOCK):
+            count = min(_FUNCTIONAL_BLOCK, first + cfg.m - start)
+            _tally_block(shards, cfg.seed, start, count, counts, rescored)
+        first += cfg.m
+        if cfg.patience is None:
+            break
+        idle = idle + 1 if np.count_nonzero(counts) == before else 0
+        if idle == cfg.patience:
+            break
+    return _extreme_set_from_counts(counts)
 
 
 def pursue(X, cfg: PursuitConfig) -> ExtremeSet:
-    """Find extreme points of the row cloud with cfg.m random functionals.
+    """Find extreme points of the row cloud with rounds of cfg.m random functionals.
 
     For each functional g_j, the rows attaining max_i x_i.g_j and
     min_i x_i.g_j are recorded (ties broken toward the lowest row index).
     Every returned index is an extreme point of the convex hull of the rows,
     except that exact duplicates of an extreme row can also collect votes;
-    rows are not deduplicated.  This is the one-worker case of
+    rows are not deduplicated.  With cfg.patience set, rounds continue until
+    that many in a row find nothing new.  This is the one-worker case of
     ``run_distributed``.
     """
     X = _prepared_rows(X, cfg)
-    counts = np.zeros(X.shape[0], dtype=np.int64)
-    _tally([(X, np.arange(X.shape[0]))], cfg.seed, 0, cfg.m, counts, [0])
-    return _extreme_set_from_counts(counts)
-
-
-def pursue_adaptive(X, cfg: PursuitConfig, rounds_patience: int = 1) -> ExtremeSet:
-    """Adaptive pursuit: rounds of cfg.batch functionals until nothing new appears.
-
-    Stops after ``rounds_patience`` consecutive rounds contribute no index not
-    already seen (default 1: the first empty round stops the run).  Votes from
-    every round, including the stopping rounds, are tallied, so a run of r
-    rounds equals ``pursue`` with m = r * batch.  The number of rounds taken
-    is recoverable as sum(votes.values()) // (2 * batch).
-    """
-    if rounds_patience < 1:
-        raise ValueError(f"rounds_patience must be >= 1, got {rounds_patience}")
-    X = _prepared_rows(X, cfg)
-    batch = cfg.round_size
-    shards = [(X, np.arange(X.shape[0]))]
-    counts = np.zeros(X.shape[0], dtype=np.int64)
-    found = 0
-    empty_rounds = 0
-    round_no = 0
-    while empty_rounds < rounds_patience:
-        _tally(shards, cfg.seed, round_no * batch, batch, counts, [0])
-        found, before = np.count_nonzero(counts), found
-        empty_rounds = 0 if found > before else empty_rounds + 1
-        round_no += 1
-    return _extreme_set_from_counts(counts)
+    return _pursue_shards([(X, np.arange(X.shape[0]))], cfg, [0])
 
 
 def posterior_missed_mass(batch: int, alpha: float) -> float:

@@ -37,6 +37,19 @@ _SAMPLE_BLOCK = 8192
 # Solid angles
 
 
+def _checked_indices(ext_indices, n: int) -> list[int]:
+    """ext_indices as ints, each a distinct row index of an n-row X."""
+    ext = [int(j) for j in ext_indices]
+    seen = set()
+    for j in ext:
+        if not 0 <= j < n:
+            raise ValueError(f"extreme index {j} is out of range for {n} rows")
+        if j in seen:
+            raise ValueError(f"extreme index {j} is repeated")
+        seen.add(j)
+    return ext
+
+
 def estimate_solid_angles(
     X, ext_indices, samples: int = 100_000, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -45,7 +58,8 @@ def estimate_solid_angles(
     For each Gaussian direction z, the row with the strictly largest score
     z.x_i gets the sample; ties (measure zero) count for nobody.  Returns
     (omega_hat, standard_errors) aligned with ext_indices.  A candidate row
-    that is not actually extreme simply estimates to zero.
+    that is not actually extreme simply estimates to zero.  A negative,
+    out-of-range or repeated index raises ValueError.
 
     X is first scaled by the power of two that puts max|X| in [0.5, 1).  The
     scaling is exact and leaves every angle alone; afterwards no score of a
@@ -70,7 +84,7 @@ def estimate_solid_angles(
     distribution does not.
     """
     X = require_matrix(X, "X")
-    ext_indices = np.asarray(ext_indices, dtype=np.int64)
+    ext_indices = np.asarray(_checked_indices(ext_indices, X.shape[0]), dtype=np.int64)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     n, p = X.shape
@@ -219,9 +233,10 @@ def simplicial_constant(X, ext_indices, i: int, tol: float = 1e-8) -> float:
     the gap ||y||^2 - min_j b_j.y by tol / sigma, and alpha lies within
     gap / ||y|| of the exact distance.  An unconverged NNLS, or a gap above
     2 tol / sigma + tau max_j ||b_j||, emits a RuntimeWarning naming row i.
+    A negative, out-of-range or repeated index raises ValueError.
     """
     X = require_matrix(X, "X")
-    ext_indices = [int(j) for j in ext_indices]
+    ext_indices = _checked_indices(ext_indices, X.shape[0])
     if len(ext_indices) < 2:
         raise ValueError("need at least two extreme points")
     if i not in ext_indices:

@@ -246,10 +246,36 @@ def test_diagnose_at_hostile_scales(tmp_path, scale):
     assert alpha == pytest.approx(np.full(4, np.sqrt(0.5) * scale), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "archetypes, message",
+    [
+        ("0,1,-2", "-2 is out of range"),
+        ("0,40", "40 is out of range"),
+        ("0,0", "0 is repeated"),
+        ("0,1,1", "1 is repeated"),
+    ],
+)
+def test_diagnose_rejects_bad_archetypes(tmp_path, instance_csv, capsys, archetypes, message):
+    path, _ = instance_csv
+    rc = main(
+        [
+            "diagnose",
+            "--input", str(path),
+            "--archetypes", archetypes,
+            "--samples", "100",
+            "--out-prefix", str(tmp_path / "diag"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_diagnose_requires_archetypes_or_m(tmp_path, instance_csv):
     path, _ = instance_csv
     rc = main(["diagnose", "--input", str(path), "--out-prefix", str(tmp_path / "x")])
-    assert rc == 1
+    assert rc == 2
 
 
 def test_missing_input_is_runtime_error(tmp_path):
@@ -270,17 +296,6 @@ def test_usage_error_exits_2():
 
 def test_conflicting_flags_exit_2(tmp_path, instance_csv):
     path, _ = instance_csv
-    rc = main(
-        [
-            "factorize",
-            "--input", str(path),
-            "--m", "10",
-            "--adaptive",
-            "--workers", "2",
-            "--out-dir", str(tmp_path / "x"),
-        ]
-    )
-    assert rc == 2
     rc = main(
         [
             "factorize",

@@ -117,6 +117,42 @@ def test_trace_passes_and_bytes():
     assert trace.rows_touched == {0: 40, 1: 20, 2: 0}
 
 
+def rounds_taken(X, m, seed, patience):
+    """Rounds the stopping rule runs, replayed from fixed-m pursuit: the
+    first r rounds score the same functionals as one round of r*m."""
+    if patience is None:
+        return 1
+    rounds, seen, idle = 0, 0, 0
+    while idle < patience:
+        rounds += 1
+        found = len(pursue(X, PursuitConfig(m=rounds * m, seed=seed)).indices)
+        idle = idle + 1 if found == seen else 0
+        seen = found
+    return rounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sharded_rounds_equal_serial_with_one_pass_per_round(data):
+    n = data.draw(st.integers(1, 10))
+    p = data.draw(st.integers(1, 3))
+    X = data.draw(arrays(np.float64, (n, p), elements=st.integers(-4, 4).map(float)))
+    workers = data.draw(st.integers(1, 4))
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(0, workers - 1)))
+    part = Partition(n, tuple(np.flatnonzero(labels == d) for d in range(workers)))
+    m = data.draw(st.sampled_from([1, 5, 600]))
+    patience = data.draw(st.sampled_from([None, 1, 2]))
+    seed = data.draw(st.integers(0, 2**32))
+    cfg = PursuitConfig(m=m, seed=seed, patience=patience)
+    trace = ExecutionTrace()
+    es = run_distributed(X, part, cfg, trace)
+    assert es == pursue(X, cfg)
+    rounds = rounds_taken(X, m, seed, patience)
+    assert sum(es.votes.values()) == 2 * rounds * m
+    assert trace.passes == rounds
+    assert trace.bytes_sent == {d: rounds * m * BYTES_PER_FUNCTIONAL for d in range(workers)}
+
+
 def test_distributed_weights_equals_serial():
     inst = gen_uniform_separable(36, 30, 5, seed=9)
     h_rows = list(inst.true_extreme_indices)

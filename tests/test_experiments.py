@@ -193,10 +193,12 @@ def test_factorize_adaptive():
     inst = gen_uniform_separable(40, 20, 4, seed=10)
     res = factorize(inst.X, m=25, seed=3, adaptive=True, select="vote", k=4)
     assert res.indices == [0, 1, 2, 3]
-    assert res.passes == 2
     assert res.m_used % 25 == 0  # whole rounds
-    with pytest.raises(ValueError, match="single worker"):
-        factorize(inst.X, m=25, adaptive=True, workers=2)
+    # One pass per pursuit round plus one for the weights.
+    assert res.passes == res.m_used // 25 + 1
+    quad = factorize(inst.X, m=25, seed=3, adaptive=True, select="vote", k=4, workers=4)
+    assert (quad.indices, quad.m_used, quad.passes) == (res.indices, res.m_used, res.passes)
+    assert np.abs(quad.W - res.W).max() <= 1e-10
 
 
 def test_factorize_glasso_selection():

@@ -15,7 +15,6 @@ from archpursuit import (
     gen_uniform_separable,
     posterior_missed_mass,
     pursue,
-    pursue_adaptive,
     run_distributed,
     select_top_voted,
 )
@@ -137,7 +136,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PursuitConfig(m=0)
     with pytest.raises(ValueError):
-        PursuitConfig(m=5, batch=0)
+        PursuitConfig(m=5, patience=0)
 
 
 def test_rows_near_overflow_keep_their_votes():
@@ -184,12 +183,12 @@ def test_adaptive_triangle_finds_all_three():
     # probability per round.
     angles = [mc_corner_angle_oracle(TRIANGLE, v, samples=10_000) for v in range(3)]
     assert min(angles) > 0.1
-    es = pursue_adaptive(TRIANGLE, PursuitConfig(m=8, seed=21, batch=8))
+    es = pursue(TRIANGLE, PursuitConfig(m=8, seed=21, patience=1))
     assert es.indices == (0, 1, 2)
 
 
 def test_adaptive_single_point_stops_after_one_round():
-    es = pursue_adaptive(np.array([[1.0, 2.0]]), PursuitConfig(m=4, seed=0, batch=4))
+    es = pursue(np.array([[1.0, 2.0]]), PursuitConfig(m=4, seed=0, patience=1))
     assert es.indices == (0,)
     # Round 1 finds row 0 (new), round 2 adds nothing and stops: 2 rounds.
     assert sum(es.votes.values()) == 2 * 4 * 2
@@ -197,9 +196,9 @@ def test_adaptive_single_point_stops_after_one_round():
 
 def test_adaptive_deterministic_with_round_count():
     X = np.asarray(gen_uniform_separable(50, 15, 5, seed=1).X)
-    cfg = PursuitConfig(m=6, seed=13, batch=6)
-    a = pursue_adaptive(X, cfg)
-    b = pursue_adaptive(X, cfg)
+    cfg = PursuitConfig(m=6, seed=13, patience=1)
+    a = pursue(X, cfg)
+    b = pursue(X, cfg)
     assert a == b
     rounds_a = sum(a.votes.values()) // (2 * 6)
     rounds_b = sum(b.votes.values()) // (2 * 6)
@@ -208,9 +207,8 @@ def test_adaptive_deterministic_with_round_count():
 
 def test_adaptive_patience_extends_rounds():
     X = TRIANGLE
-    cfg = PursuitConfig(m=8, seed=3, batch=8)
-    r1 = sum(pursue_adaptive(X, cfg, rounds_patience=1).votes.values())
-    r3 = sum(pursue_adaptive(X, cfg, rounds_patience=3).votes.values())
+    r1 = sum(pursue(X, PursuitConfig(m=8, seed=3, patience=1)).votes.values())
+    r3 = sum(pursue(X, PursuitConfig(m=8, seed=3, patience=3)).votes.values())
     assert r3 == r1 + 2 * 8 * 2  # two extra stopping rounds
 
 
@@ -231,7 +229,7 @@ def test_adaptive_stopping_rule_confidence():
     assert covered and covered != set(range(4))  # the test must discriminate
     runs, failures = 400, 0
     for t in range(runs):
-        es = pursue_adaptive(V, PursuitConfig(m=batch, seed=90_000 + t, batch=batch))
+        es = pursue(V, PursuitConfig(m=batch, seed=90_000 + t, patience=1))
         failures += not covered <= set(es.indices)
     sigma = math.sqrt(delta * (1 - delta) / runs)
     assert failures / runs <= delta + 3 * sigma
@@ -247,9 +245,8 @@ def test_adaptive_equals_pursue_with_the_functionals_it_used(batch):
     # differently from fixed-m pursuit (batch 700 spans two blocks of 512).
     for seed in range(3):
         X = np.asarray(gen_uniform_separable(60, 12, 6, seed=seed).X)
-        cfg = PursuitConfig(m=batch, seed=seed, batch=batch)
         for patience in (1, 2):
-            es = pursue_adaptive(X, cfg, rounds_patience=patience)
+            es = pursue(X, PursuitConfig(m=batch, seed=seed, patience=patience))
             rounds = sum(es.votes.values()) // (2 * batch)
             assert rounds >= 2
             assert es == pursue(X, PursuitConfig(m=rounds * batch, seed=seed))

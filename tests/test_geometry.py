@@ -285,6 +285,22 @@ def test_simplicial_errors():
         simplicial_constant(np.eye(3), [0, 1], 2)
 
 
+@pytest.mark.parametrize(
+    "ext, message",
+    [
+        ([0, 1, -2], "-2 is out of range"),
+        ([0, 1, 4], "4 is out of range"),
+        ([0, 0], "0 is repeated"),
+        ([0, 1, 1], "1 is repeated"),
+    ],
+)
+def test_bad_extreme_indices_are_rejected(ext, message):
+    with pytest.raises(ValueError, match=message):
+        estimate_solid_angles(SQUARE, ext, samples=100)
+    with pytest.raises(ValueError, match=message):
+        simplicial_constant(SQUARE, ext, 0)
+
+
 SQUARE_AND_CENTRE = np.vstack([SQUARE, [[0.5, 0.5]]])
 
 
