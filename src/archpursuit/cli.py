@@ -16,7 +16,7 @@ import numpy as np
 
 from . import experiments, geometry
 from .extreme_points import PursuitConfig, pursue
-from .matrix_io import format_value, load_csv, require_matrix
+from .matrix_io import format_value, load_csv, save_csv
 
 
 def _fmt(v) -> str:
@@ -34,9 +34,7 @@ def _write_csv(path, header, rows) -> None:
 
 def _load_matrix(args) -> np.ndarray:
     X = load_csv(args.input, skip_header=args.skip_header)
-    if args.transpose:
-        X = np.ascontiguousarray(X.T)
-    return require_matrix(X, "input")
+    return np.ascontiguousarray(X.T) if args.transpose else X
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -204,8 +202,6 @@ def _cmd_factorize(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "indices.csv", ("archetype_row",), [(i,) for i in res.indices])
-    from .matrix_io import save_csv
-
     save_csv(res.W, out / "W.csv")
     _write_csv(
         out / "summary.csv",

@@ -136,8 +136,11 @@ def distributed_weights(
 
     The NNLS objective is separable across the rows of W, so each worker
     solves its local rows against the shared k x p archetype block; the
-    concatenated result matches the serial fit row for row.  Counts as the
-    second pass over the data.  A worker whose fit ends above the KKT
+    concatenated result solves the same problem as the serial fit, row for
+    row, to the KKT tolerance.  It is not bit-identical to it: ``nnls_fit``
+    solves the rows that share a passive set together, so a row's rounding
+    depends on which other rows its worker holds.  Counts as the second pass
+    over the data.  A worker whose fit ends above the KKT
     tolerance ``tol`` (it hit ``max_iter``) emits a RuntimeWarning naming the
     worker, its KKT residual and ``max_iter``; W is still returned.
     """

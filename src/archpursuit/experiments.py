@@ -315,8 +315,11 @@ def factorize(
             raise ValueError("glasso selection requires k")
         cand = tuple(es.indices)
         lam_hi = lambda_max(X, X[list(cand)])
-        prob = GroupLassoProblem(X, X[list(cand)], default_lambda_grid(lam_hi))
-        path = solve_path(prob)
+        # lam_hi is 0 only when every candidate row is zero, and then there is
+        # no path to solve; with no more candidates than k none is needed.
+        if lam_hi > 0 or len(cand) > k:
+            prob = GroupLassoProblem(X, X[list(cand)], default_lambda_grid(lam_hi))
+            path = solve_path(prob)
         if len(cand) <= k:
             chosen = sorted(cand)
         else:

@@ -118,7 +118,10 @@ class LassoPath:
     ||w_i||_2 there; active[t] lists the groups above the activity threshold;
     objectives[t] is the penalized objective 0.5*||X - W H||_F^2 + lambda*sum t_i.
     fit_objectives[t] is the unpenalized half squared residual.  iterations[t]
-    counts the APG iterations spent at lambdas[t].
+    counts the APG iterations spent at lambdas[t].  gaps[t] is the relative
+    duality gap (P(W) - D(theta)) / P(W) of weights[t], a certificate of how
+    far it is from optimal (see ``_duality_gap``); ``solve_path`` always
+    fills it.
     """
 
     lambdas: np.ndarray
@@ -128,6 +131,7 @@ class LassoPath:
     objectives: np.ndarray
     fit_objectives: np.ndarray
     iterations: np.ndarray
+    gaps: np.ndarray | None = None
 
 
 def solve_path(
@@ -168,6 +172,7 @@ def solve_path(
     objectives = np.zeros(prob.lambda_grid.size)
     fit_objectives = np.zeros(prob.lambda_grid.size)
     iterations = np.zeros(prob.lambda_grid.size, dtype=np.int64)
+    gaps = np.zeros(prob.lambda_grid.size)
     capped = []
 
     # Rounding-aware slack for the monotone test (see nnls.py).
@@ -209,6 +214,7 @@ def solve_path(
         active_out.append(tuple(int(i) for i in np.flatnonzero(norms > thresh)))
         fit_objectives[gi] = fit_value(W)
         objectives[gi] = fit_objectives[gi] + lam * float(t.sum())
+        gaps[gi] = _duality_gap(W, norms, lam, HHt, XHt, fit_objectives[gi])
 
     if capped:
         warnings.warn(
@@ -225,7 +231,31 @@ def solve_path(
         objectives=objectives,
         fit_objectives=fit_objectives,
         iterations=iterations,
+        gaps=gaps,
     )
+
+
+def _duality_gap(W, norms, lam, HHt, XHt, fit) -> float:
+    """Relative duality gap (P(W) - D(theta)) / P(W) at a feasible W >= 0.
+
+    P(W) = 0.5*||R||^2 + lam * sum_i ||w_i|| with R = X - W H.  The dual of
+    the penalized problem is D(theta) = <X, theta> - 0.5*||theta||^2 over the
+    theta with ||(theta H^T)_+[:, i]|| <= lam for every group i.  The scaled
+    residual theta = s R with s = min(1, lam / max_i ||G_+[:, i]||), where
+    G = R H^T = X H^T - W H H^T, is dual feasible, so D(theta) <= P(W) and
+    the gap bounds P(W) - P(W*).  Expanded, the gap is
+        0.5*||R||^2 (1 - s)^2 + (lam * sum_i ||w_i|| - s <W, G>),
+    two terms that are each non-negative in exact arithmetic, so no large
+    objective values cancel.  Everything comes from H H^T, X H^T and the half
+    squared residual ``fit``; R is never formed.
+    """
+    G = XHt - W @ HHt
+    g_max = float(np.linalg.norm(np.maximum(G, 0.0), axis=0).max(initial=0.0))
+    s = 1.0 if g_max <= lam else lam / g_max
+    penalty = lam * float(norms.sum())
+    gap = fit * (1.0 - s) ** 2 + penalty - s * float(np.einsum("ij,ij->", W, G))
+    primal = fit + penalty
+    return gap / primal if primal > 0 else 0.0
 
 
 def select_by_persistence(path: LassoPath, k: int) -> list[int]:

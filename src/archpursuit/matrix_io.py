@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,39 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
 def load_csv(path, skip_header: bool = False) -> np.ndarray:
     """Load a rectangular numeric CSV (no header by default) as an n x p matrix.
 
-    Raises ValueError naming the offending 1-based row for ragged input, or
-    the (row, column) pair for a non-numeric cell.
+    The grammar: ASCII, comma-delimited, LF, CRLF or CR line endings, lines
+    that are empty or all whitespace skipped, and with skip_header the first
+    line dropped unread.  A cell is a decimal float as Python's float() reads
+    it, surrounding whitespace allowed, but without digit-grouping underscores.
+    Every value must be finite.  A file with no data rows is a 0 x 0 matrix.
+
+    One C-level parse (np.loadtxt) fills the float64 array.  Only when it fails
+    is the file read again, to raise a ValueError naming the offending 1-based
+    row for ragged input, or the (row, column) pair for a non-numeric cell.
     """
-    rows = []
+    with open(path, "r", encoding="ascii") as fh:
+        if skip_header:
+            next(fh, None)
+        try:
+            with warnings.catch_warnings():
+                # A file with no data rows is a 0 x 0 matrix, not a warning.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                X = np.loadtxt(
+                    (line for line in fh if not line.isspace()),
+                    delimiter=",",
+                    comments=None,
+                    ndmin=2,
+                )
+        except ValueError as exc:
+            fault = _first_fault(path, skip_header)
+            raise (ValueError(fault) if fault else exc) from None
+    if X.size == 0:
+        return np.empty((0, 0))
+    return require_matrix(X, name=str(path))
+
+
+def _first_fault(path, skip_header: bool) -> str | None:
+    """The message for the first ragged row or non-numeric cell, in file order."""
     n_cols = None
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -52,22 +82,17 @@ def load_csv(path, skip_header: bool = False) -> np.ndarray:
             if n_cols is None:
                 n_cols = len(cells)
             elif len(cells) != n_cols:
-                raise ValueError(
-                    f"ragged CSV: row {row_number} has {len(cells)} fields, expected {n_cols}"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                bad = next(i for i, c in enumerate(cells, start=1) if not _is_number(c))
-                raise ValueError(
-                    f"non-numeric cell at ({row_number},{bad}): {cells[bad - 1]!r}"
-                ) from None
-    if not rows:
-        return np.empty((0, 0))
-    return require_matrix(rows, name=str(path))
+                return f"ragged CSV: row {row_number} has {len(cells)} fields, expected {n_cols}"
+            for col, cell in enumerate(cells, start=1):
+                if not _is_number(cell):
+                    return f"non-numeric cell at ({row_number},{col}): {cell!r}"
+    return None
 
 
 def _is_number(cell: str) -> bool:
+    # np.loadtxt rejects the digit-grouping underscores that float() allows.
+    if "_" in cell:
+        return False
     try:
         float(cell)
         return True
@@ -85,14 +110,16 @@ def format_value(v: float) -> str:
 
 
 def save_csv(m, path) -> None:
-    """Write a matrix as CSV with shortest round-trip decimal representation."""
+    """Write a matrix as CSV, each value spelled as format_value spells it."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     with open(path, "w", encoding="ascii") as fh:
         for row in m:
-            fh.write(",".join(format_value(v) for v in row))
-            fh.write("\n")
+            # repr never writes ".0" but at the end of an integral value, so
+            # the replaces drop exactly the suffixes format_value drops.
+            line = ",".join(map(repr, row.tolist())) + "\n"
+            fh.write(line.replace(".0,", ",").replace(".0\n", "\n"))
 
 
 def save_binary(m, path) -> None:

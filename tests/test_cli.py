@@ -1,6 +1,7 @@
 """CLI surface: subcommands, file artifacts, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -325,3 +326,57 @@ def test_same_seed_same_bytes(tmp_path, instance_csv):
         )
         blobs.append((out / "W.csv").read_bytes() + (out / "indices.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+DEGENERATE = {
+    "1x1": np.array([[3.0]]),
+    "1x5": np.arange(1.0, 6.0).reshape(1, 5),
+    "5x1": np.arange(1.0, 6.0).reshape(5, 1),
+    "constant": np.full((5, 3), 2.0),
+    "zero": np.zeros((5, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+@pytest.mark.parametrize("select", [["--select", "vote"], ["--select", "glasso", "--k", "1"]])
+def test_factorize_degenerate_shapes(tmp_path, capsys, name, select):
+    X = DEGENERATE[name]
+    path = tmp_path / "X.csv"
+    save_csv(X, path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        # A zero archetype row forces its coefficients to 0, with a warning.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["factorize", "--input", str(path), "--m", "20", "--out-dir", str(out)] + select)
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    idx = [int(v) for v in (out / "indices.csv").read_text().split()[1:]]
+    assert idx and all(0 <= i < X.shape[0] for i in idx)
+    if "glasso" in select:
+        assert len(idx) == 1
+    W = load_csv(out / "W.csv")
+    assert W.shape == (X.shape[0], len(idx)) and (W >= 0).all()
+    assert np.allclose(W @ X[idx], X, rtol=0, atol=1e-12)
+    summary = (out / "summary.csv").read_text().splitlines()[1].split(",")
+    assert float(summary[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+@pytest.mark.parametrize("select", [["--m", "20"], ["--archetypes", "0"]])
+def test_diagnose_degenerate_shapes(tmp_path, capsys, name, select):
+    X = DEGENERATE[name]
+    path = tmp_path / "X.csv"
+    save_csv(X, path)
+    prefix = tmp_path / "diag"
+    rc = main(
+        ["diagnose", "--input", str(path), "--samples", "500", "--out-prefix", str(prefix)]
+        + select
+    )
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = (tmp_path / "diag_points.csv").read_text().splitlines()[1:]
+    summary = json.loads((tmp_path / "diag_summary.json").read_text())
+    assert summary["n_extreme"] == len(rows) >= 1
+    omega = [float(r.split(",")[1]) for r in rows]
+    assert all(0.0 <= w <= 1.0 for w in omega)
+    assert summary["omega_sum"] == pytest.approx(sum(omega))

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -341,3 +341,61 @@ def test_grid_validation():
         GroupLassoProblem(X, H, np.array([2.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         GroupLassoProblem(X, H, np.array([]))
+
+
+# ---------------------------------------------------------------------------
+# Duality gap
+
+
+def primal_objective(path, t):
+    """0.5*||X - W H||^2 + lam * sum_i ||w_i||, from the path's own records."""
+    return path.fit_objectives[t] + path.lambdas[t] * path.group_norms[t].sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(2, 8), st.integers(2, 5)),
+        elements=st.floats(-1.0, 1.0, allow_subnormal=False),
+    ),
+    st.integers(1, 8),
+    st.sampled_from([(1e-9, 5000), (1e-3, 3)]),
+)
+def test_duality_gap_is_weakly_non_negative(X, h, solve):
+    """Every returned W is feasible, so P(W) >= D(theta) up to rounding, also
+    for a solve cut short."""
+    H = X[: min(h, X.shape[0])]
+    lam = lambda_max(X, H)
+    assume(lam > 1e-6)
+    tol, max_iter = solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        path = solve_path(
+            GroupLassoProblem(X, H, default_lambda_grid(lam, num=4, span=1e-2)),
+            tol=tol,
+            max_iter_per_lambda=max_iter,
+        )
+    assert path.gaps.shape == path.lambdas.shape
+    xx = float((X * X).sum())
+    for t in range(path.lambdas.size):
+        gap = path.gaps[t] * primal_objective(path, t)
+        assert gap >= -1e-12 * xx, (t, path.gaps)
+
+
+def test_duality_gap_is_zero_at_lambda_max():
+    X = gen_uniform_separable(30, 12, 4, seed=1).X
+    H = X[:8]
+    path = solve_path(GroupLassoProblem(X, H, default_lambda_grid(lambda_max(X, H), num=5)))
+    assert path.active[0] == ()
+    assert abs(path.gaps[0]) <= 1e-12
+
+
+def test_duality_gap_closes_after_a_tight_solve():
+    X = gen_uniform_separable(12, 5, 3, seed=1).X
+    H = X[:3]
+    grid = default_lambda_grid(lambda_max(X, H), num=5, span=1e-2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tight = solve_path(GroupLassoProblem(X, H, grid), tol=1e-15, max_iter_per_lambda=5000)
+    assert (tight.gaps <= 1e-6).all(), tight.gaps

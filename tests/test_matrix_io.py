@@ -1,7 +1,12 @@
 """CSV/binary round trips and the synthetic instance generators."""
 
+import gzip
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls as scipy_nnls
 
 from archpursuit import (
@@ -13,7 +18,12 @@ from archpursuit import (
     save_binary,
     save_csv,
 )
-from archpursuit.matrix_io import hilbert_rows, pairwise_half_weights, require_matrix
+from archpursuit.matrix_io import (
+    format_value,
+    hilbert_rows,
+    pairwise_half_weights,
+    require_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +85,131 @@ def test_load_rejects_nan(tmp_path):
     f.write_text("1,nan\n")
     with pytest.raises(ValueError, match="finite"):
         load_csv(f)
+
+
+finite_matrices = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_matrices)
+@example(np.array([[-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308]]))
+@example(np.array([[1.7976931348623157e308], [-1.7976931348623157e308], [42.0], [-1e16]]))
+@example(np.array([[1.0]]))
+def test_round_trip_is_bitwise(tmp_path_factory, m):
+    f = tmp_path_factory.mktemp("rt") / "m.csv"
+    save_csv(m, f)
+    back = load_csv(f)
+    assert back.shape == m.shape and back.dtype == np.float64
+    # tobytes tells -0.0 from 0.0, which array_equal does not.
+    assert back.tobytes() == m.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_matrices)
+@example(np.array([[-0.0, 10.0, 1e16, 1e22, 0.5, -3.0, 5e-324]]))
+def test_save_writes_format_value_per_cell(tmp_path_factory, m):
+    f = tmp_path_factory.mktemp("fv") / "m.csv"
+    save_csv(m, f)
+    want = "".join(",".join(format_value(v) for v in row) + "\n" for row in m)
+    assert f.read_bytes() == want.encode("ascii")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["{!r}", "{:.17g}", "{:.25e}", "{:.3f}", "{:.0e}", "{:+.30g}", "{:E}"]),
+    st.sampled_from(["", " ", "\t", "  "]),
+)
+def test_load_reads_spellings_as_float_does(tmp_path_factory, x, spelling, pad):
+    cell = pad + spelling.format(x) + pad
+    assume(np.isfinite(float(cell)))  # "{:.0e}" rounds 1.5e308 up to 2e+308
+    f = tmp_path_factory.mktemp("sp") / "m.csv"
+    f.write_text(f"{cell},1\n")
+    back = load_csv(f)
+    assert back[0, 0].tobytes() == np.float64(float(cell)).tobytes()
+
+
+def test_load_crlf_blank_lines_and_no_final_newline(tmp_path):
+    want = np.array([[1.0, 2.5], [-3.0, 4e-300]])
+    for text in (
+        "1,2.5\r\n-3,4e-300\r\n",
+        "\n1,2.5\n\n-3,4e-300\n\n",
+        "1,2.5\n   \n\t\n-3,4e-300\n",
+        " 1 , 2.5\r\n \r\n-3,4e-300",
+        "1,2.5\r-3,4e-300\r",
+    ):
+        f = tmp_path / "m.csv"
+        f.write_bytes(text.encode("ascii"))
+        assert load_csv(f).tobytes() == want.tobytes(), repr(text)
+
+
+def test_load_header_with_skip_header(tmp_path):
+    f = tmp_path / "m.csv"
+    f.write_bytes(b"x,y,z\r\n\r\n1,2,3\r\n4,5,6")
+    assert np.array_equal(load_csv(f, skip_header=True), [[1, 2, 3], [4, 5, 6]])
+    # The header is the first physical line, even when it is blank.
+    f.write_text("\n1,2\n")
+    assert np.array_equal(load_csv(f, skip_header=True), [[1.0, 2.0]])
+    f.write_text("a,b\n")
+    assert load_csv(f, skip_header=True).shape == (0, 0)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", " \r\n\t\n"])
+def test_load_empty_file_is_0_by_0(tmp_path, text):
+    f = tmp_path / "m.csv"
+    f.write_text(text)
+    assert load_csv(f).shape == (0, 0)
+
+
+@pytest.mark.parametrize("cell", ["nan", "-inf", "1e400"])
+def test_load_rejects_non_finite(tmp_path, cell):
+    f = tmp_path / "m.csv"
+    f.write_text(f"1,2\n3,{cell}\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_csv(f)
+
+
+@pytest.mark.parametrize(
+    "text, skip_header, message",
+    [
+        ("1,2\n3,4\n5\n", False, "ragged CSV: row 3 has 1 fields, expected 2"),
+        ("a\n1,2\n3,4\n5\n", True, "ragged CSV: row 3 has 1 fields, expected 2"),
+        ("1,2\n\n3,4,5\n", False, "ragged CSV: row 3 has 3 fields, expected 2"),
+        ("1,2\n3,x\n", False, "non-numeric cell at (2,2): 'x'"),
+        ("a,b\n1,2\n3,x\n", True, "non-numeric cell at (2,2): 'x'"),
+        ("1,2\n\n,4\n", False, "non-numeric cell at (3,1): ''"),
+        # A bad cell before a ragged row is reported first, in file order.
+        ("1,2\n3,#\n5\n", False, "non-numeric cell at (2,2): '#'"),
+    ],
+)
+def test_load_error_names_row_and_cell(tmp_path, text, skip_header, message):
+    f = tmp_path / "m.csv"
+    f.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_csv(f, skip_header=skip_header)
+    assert str(exc.value) == message
+
+
+def test_load_opens_only_the_named_file(tmp_path):
+    # np.loadtxt given a name would fall back to a compressed sibling.
+    with gzip.open(tmp_path / "m.csv.gz", "wt") as fh:
+        fh.write("1,2\n")
+    with pytest.raises(FileNotFoundError):
+        load_csv(tmp_path / "m.csv")
+
+
+@pytest.mark.parametrize("skip_header, row", [(False, 2), (True, 1)])
+def test_load_rejects_digit_grouping_underscores(tmp_path, skip_header, row):
+    # float("1_000") is 1000.0, but the CSV grammar has no digit grouping.
+    f = tmp_path / "m.csv"
+    f.write_text("1,2\n3,1_000\n")
+    with pytest.raises(ValueError) as exc:
+        load_csv(f, skip_header=skip_header)
+    assert str(exc.value) == f"non-numeric cell at ({row},2): '1_000'"
 
 
 # ---------------------------------------------------------------------------
