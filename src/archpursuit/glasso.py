@@ -1,16 +1,15 @@
-"""Non-negative group lasso over candidate archetypes, solved as an SOCP.
+"""Non-negative group lasso over candidate archetypes.
 
 The selection problem
 
     min_{W >= 0}  0.5 * ||X - W H||_F^2 + lambda * sum_i ||w_i||_2
 
-(groups are the columns w_i of W, one per candidate archetype) is rewritten
-with per-group epigraph scalars t_i >= ||w_i||_2, turning the nonsmooth
-penalty into the linear term lambda * sum_i t_i subject to each (w_i, t_i)
-lying in the second-order cone intersected with the non-negative orthant.
-That feasible set has a cheap exact projection — clip the group coordinates
-at zero, then apply the standard cone projection — so the whole path is
-solvable by accelerated projected gradient with warm starts.
+(groups are the columns w_i of W, one per candidate archetype) is solved
+down a descending penalty grid by FISTA on W (Beck & Teboulle 2009) with
+warm starts.  The penalty plus the constraint W >= 0 has an exact prox —
+clip at zero, then shrink each column's norm by lambda / L — so every
+iteration is a gradient step on the fit, one clip and one column scaling.
+Each solution carries its relative duality gap as a certificate.
 """
 
 from __future__ import annotations
@@ -32,40 +31,60 @@ def project_cone_orthant(x) -> np.ndarray:
     """Project onto (second-order cone) ∩ (non-negative orthant).
 
     The last coordinate is the cone height t, the first q-1 are the group
-    coefficients.  The single-group case of ``_project_groups``, on x scaled
-    exactly by a power of two so that the group norm cannot overflow or underflow.
+    coefficients.  Computed as the composition P_cone(P_orthant(.)), where
+    the orthant clip leaves t alone; the composition equals the exact
+    projection onto the intersection.  x is first scaled exactly by a power
+    of two so that the group norm cannot overflow or underflow.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] < 2:
         raise ValueError(f"expected a vector of length >= 2, got shape {x.shape}")
     e = math.frexp(float(np.abs(x).max()))[1]
-    w, t = _project_groups(np.ldexp(x[:-1, None], -e), np.ldexp(x[-1:], -e))
-    return np.ldexp(np.append(w[:, 0], t), e)
+    y = np.ldexp(x, -e)
+    w, t = np.maximum(y[:-1], 0.0), float(y[-1])
+    norm = float(np.linalg.norm(w))
+    if t < norm <= -t:
+        w, t = np.zeros_like(w), 0.0
+    elif norm > t:
+        t = 0.5 * (norm + t)
+        w = w * (t / norm)
+    return np.ldexp(np.append(w, t), e)
 
 
-def _project_groups(W: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch projection of each group column (W[:, i], t[i]) onto cone ∩ orthant.
+def _column_norms(V: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Euclidean norm of each column of V, without overflow or underflow.
 
-    Computed as the composition P_cone(P_orthant(.)) where the orthant clip
-    leaves the height t alone; the composition equals the exact projection
-    onto the intersection.
+    The plain sum of squares is accurate for norms in [2^-500, 2^500]; the
+    columns outside that range are measured again on a copy scaled by the
+    power of two of their largest entry.  A plain norm below 2^-500 means a
+    true norm below 2^-499, so when ``floor`` >= 2^-499 (the caller only
+    needs to know which norms lie under it) such columns are not measured
+    again.
     """
-    V = np.maximum(W, 0.0)
-    norms = np.linalg.norm(V, axis=0)
-    inside = norms <= t
-    zero = norms <= -t
-    scale = np.empty_like(norms)
-    t_out = np.empty_like(t)
-    a = 0.5 * (norms + t)
-    boundary = ~inside & ~zero
-    safe = np.where(norms > 0, norms, 1.0)
-    scale[inside] = 1.0
-    t_out[inside] = t[inside]
-    scale[zero] = 0.0
-    t_out[zero] = 0.0
-    scale[boundary] = (a / safe)[boundary]
-    t_out[boundary] = a[boundary]
-    return V * scale[None, :], t_out
+    norms = np.sqrt(np.einsum("ij,ij->j", V, V))
+    odd = ~(norms <= 2.0**500)
+    if floor < 2.0**-499:
+        odd |= norms < 2.0**-500
+    if odd.any():
+        sub = V[:, odd]
+        e = np.frexp(np.abs(sub).max(axis=0, initial=0.0))[1]
+        norms[odd] = np.ldexp(np.linalg.norm(np.ldexp(sub, -e), axis=0), e)
+    return norms
+
+
+def _group_prox(Z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Prox of tau * sum_i ||w_i||_2 plus the constraint W >= 0, column by column.
+
+    Clipping at zero and then shrinking each column v by
+    max(0, 1 - tau / ||v||) is the exact minimizer of
+    0.5 * ||W - Z||_F^2 + tau * sum_i ||w_i|| over W >= 0.  Returns the
+    minimizer and its column norms.
+    """
+    V = np.maximum(Z, 0.0)
+    norms = _column_norms(V, floor=tau)
+    shrunk = np.maximum(norms - tau, 0.0)
+    V *= np.divide(shrunk, norms, out=np.zeros_like(norms), where=shrunk > 0.0)
+    return V, shrunk
 
 
 def lambda_max(X, H) -> float:
@@ -116,9 +135,10 @@ class LassoPath:
 
     weights[t] is the (n, k) solution at lambdas[t]; group_norms[t, i] is
     ||w_i||_2 there; active[t] lists the groups above the activity threshold;
-    objectives[t] is the penalized objective 0.5*||X - W H||_F^2 + lambda*sum t_i.
-    fit_objectives[t] is the unpenalized half squared residual.  iterations[t]
-    counts the APG iterations spent at lambdas[t].  gaps[t] is the relative
+    objectives[t] is the penalized objective
+    0.5*||X - W H||_F^2 + lambdas[t] * sum_i ||w_i||_2.  fit_objectives[t] is
+    the unpenalized half squared residual.  iterations[t] counts the FISTA
+    iterations spent at lambdas[t].  gaps[t] is the relative
     duality gap (P(W) - D(theta)) / P(W) of weights[t], a certificate of how
     far it is from optimal (see ``_duality_gap``); ``solve_path`` always
     fills it.
@@ -139,15 +159,19 @@ def solve_path(
     tol: float = 1e-9,
     max_iter_per_lambda: int = 5000,
 ) -> LassoPath:
-    """Accelerated projected gradient down the penalty grid with warm starts.
+    """FISTA down the penalty grid with warm starts.
 
-    Per penalty value, iterations stop once the relative objective change
-    over a 10-iteration window drops below tol.  Within an iteration the
-    smooth part (quadratic fit + linear penalty) takes a gradient step and
-    each group is projected back onto cone ∩ orthant, so W stays entrywise
-    non-negative exactly.  A penalty that uses up max_iter_per_lambda
-    iterations without meeting the stopping rule is named in a
-    RuntimeWarning; its solution is the last accepted iterate.
+    Per penalty value, iterations stop once the relative change of the
+    objective over a 10-iteration window drops below tol.  Each iteration
+    takes a gradient step on the quadratic fit from the extrapolated point
+    and applies the exact prox of the penalty and W >= 0 (``_group_prox``),
+    so W stays entrywise non-negative exactly; a step that raises the
+    objective restarts the momentum from the last accepted iterate.  A
+    penalty that uses up max_iter_per_lambda iterations without meeting the
+    stopping rule is named in a RuntimeWarning; its solution is the last
+    accepted iterate.  Scaling X and H by 2^s and the grid by 2^(2s) scales
+    nothing but the objectives, and them exactly, while no entry overflows
+    or underflows.
     """
     X, H = prob.X, prob.H
     n = X.shape[0]
@@ -165,7 +189,7 @@ def solve_path(
         )
 
     W = np.zeros((n, k))
-    t = np.zeros(k)
+    norms, fit = np.zeros(k), 0.5 * xx
     weights = []
     norms_out = np.zeros((prob.lambda_grid.size, k))
     active_out = []
@@ -176,45 +200,37 @@ def solve_path(
     capped = []
 
     # Rounding-aware slack for the monotone test (see nnls.py).
-    slack = 32.0 * np.finfo(np.float64).eps * (xx + 1.0)
+    slack = 32.0 * np.finfo(np.float64).eps * xx
 
     for gi, lam in enumerate(prob.lambda_grid):
-        Y_w, Y_t = W.copy(), t.copy()
-        mom = 1.0
-        F = fit_value(W) + lam * float(t.sum())
+        Y, mom = W, 1.0
+        F = fit + lam * float(norms.sum())
         window = []
         used = 0
         for used in range(1, max_iter_per_lambda + 1):
-            grad_w = Y_w @ HHt - XHt
-            V_w, V_t = _project_groups(Y_w - grad_w / L, Y_t - lam / L)
-            F_new = fit_value(V_w) + lam * float(V_t.sum())
+            V, V_norms = _group_prox(Y - (Y @ HHt - XHt) / L, lam / L)
+            F_new = fit_value(V) + lam * float(V_norms.sum())
+            window.append(_relative_change(F_new, F))
             if F_new > F + slack:
                 # Momentum overshot: restart from the last accepted point.
-                Y_w, Y_t, mom = W.copy(), t.copy(), 1.0
-                window.append(abs(F_new - F) / max(abs(F), 1.0))
-                if len(window) >= 10 and max(window[-10:]) < tol:
-                    break
-                continue
-            mom_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * mom * mom))
-            beta = (mom - 1.0) / mom_next
-            Y_w = V_w + beta * (V_w - W)
-            Y_t = V_t + beta * (V_t - t)
-            W, t, mom = V_w, V_t, mom_next
-            window.append(abs(F_new - F) / max(abs(F), 1.0))
-            F = F_new
+                Y, mom = W, 1.0
+            else:
+                mom_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * mom * mom))
+                Y = V + ((mom - 1.0) / mom_next) * (V - W)
+                W, mom, F = V, mom_next, F_new
             if len(window) >= 10 and max(window[-10:]) < tol:
                 break
         else:
             capped.append(gi)
         iterations[gi] = used
-        norms = np.linalg.norm(W, axis=0)
+        norms, fit = _column_norms(W), fit_value(W)
         thresh = ACTIVITY_THRESHOLD * (norms.max() if norms.size else 0.0)
         weights.append(W.copy())
         norms_out[gi] = norms
         active_out.append(tuple(int(i) for i in np.flatnonzero(norms > thresh)))
-        fit_objectives[gi] = fit_value(W)
-        objectives[gi] = fit_objectives[gi] + lam * float(t.sum())
-        gaps[gi] = _duality_gap(W, norms, lam, HHt, XHt, fit_objectives[gi])
+        fit_objectives[gi] = fit
+        objectives[gi] = fit + lam * float(norms.sum())
+        gaps[gi] = _duality_gap(W, norms, lam, HHt, XHt, fit)
 
     if capped:
         warnings.warn(
@@ -233,6 +249,13 @@ def solve_path(
         iterations=iterations,
         gaps=gaps,
     )
+
+
+def _relative_change(new: float, old: float) -> float:
+    """|new - old| / |old|, with no floor, so the stopping rule is scale-free."""
+    if old == 0.0:
+        return 0.0 if new == old else math.inf
+    return abs(new - old) / abs(old)
 
 
 def _duality_gap(W, norms, lam, HHt, XHt, fit) -> float:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from archpursuit import gen_uniform_separable, load_csv, save_csv
+from archpursuit import gen_noisy_pairs, gen_uniform_separable, load_csv, save_csv
 from archpursuit.cli import main
 
 
@@ -68,6 +68,20 @@ def test_factorize_glasso_writes_path(tmp_path, instance_csv):
     lams = np.unique(rows[:, 0])
     assert lams.size == 50  # default grid length
     assert set(rows[:, 3]) <= {0.0, 1.0}
+
+
+def test_factorize_glasso_selects_the_same_rows_at_small_scale(tmp_path):
+    # The group-lasso path has no absolute floor in its stopping rule, so
+    # the same input times 2^-20 selects the same rows.
+    X = gen_noisy_pairs(200, 12, 0.01, 11)
+    picked = []
+    for name, data in (("unit", X), ("small", np.ldexp(X, -20))):
+        save_csv(data, tmp_path / f"{name}.csv")
+        argv = ["factorize", "--input", str(tmp_path / f"{name}.csv"), "--select", "glasso"]
+        argv += ["--k", "8", "--m", "200", "--seed", "11", "--out-dir", str(tmp_path / name)]
+        assert main(argv) == 0
+        picked.append((tmp_path / name / "indices.csv").read_bytes())
+    assert picked[0] == picked[1]
 
 
 def test_factorize_workers_identical_output(tmp_path, instance_csv):

@@ -1,5 +1,6 @@
-"""Cone-orthant projection (against independent oracles) and the lasso path."""
+"""Cone-orthant projection (against independent oracles), the group prox and the lasso path."""
 
+import math
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from archpursuit import (
     GroupLassoProblem,
     default_lambda_grid,
+    gen_noisy_pairs,
     gen_uniform_separable,
     lambda_max,
     nnls_fit,
@@ -18,6 +20,7 @@ from archpursuit import (
     select_by_persistence,
     solve_path,
 )
+from archpursuit.glasso import _group_prox
 
 
 def in_cone_orthant(y, tol=1e-12):
@@ -253,6 +256,78 @@ def test_path_reports_iterations_and_cap_hits():
         warnings.simplefilter("error", RuntimeWarning)
         full = solve_path(GroupLassoProblem(X, H, grid))
     assert ((full.iterations >= 10) & (full.iterations < 5000)).all()
+
+
+def test_objectives_are_fit_plus_penalty():
+    _, X, H = _small_problem(seed=5)
+    path = solve_path(GroupLassoProblem(X, H, default_lambda_grid(lambda_max(X, H), num=20)))
+    expected = path.fit_objectives + path.lambdas * path.group_norms.sum(axis=1)
+    assert np.allclose(path.objectives, expected, rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def _hostile_scale_instances():
+    noisy = gen_noisy_pairs(200, 8, 0.01, seed=3)
+    uniform = gen_uniform_separable(60, 30, 6, seed=4).X
+    return {"noisy-pairs": (noisy, noisy[:16]), "uniform": (uniform, uniform[:10])}
+
+
+@pytest.mark.parametrize("name", ["noisy-pairs", "uniform"])
+def test_path_is_scale_equivariant_bit_for_bit(name):
+    # Scaling X and H by 2^s and the grid by 2^(2s) leaves every W, gap,
+    # iteration count and active set bit for bit as they are, and scales the
+    # objectives exactly; the stopping rule has no absolute floor that a
+    # small-scale X would fall under.
+    X, H = _hostile_scale_instances()[name]
+    grid = default_lambda_grid(lambda_max(X, H), num=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ref = solve_path(GroupLassoProblem(X, H, grid))
+        for s in (-100, -20, 20, 100):
+            got = solve_path(GroupLassoProblem(np.ldexp(X, s), np.ldexp(H, s), np.ldexp(grid, 2 * s)))
+            assert np.array_equal(got.iterations, ref.iterations), s
+            assert got.active == ref.active, s
+            assert all(np.array_equal(a, b) for a, b in zip(got.weights, ref.weights)), s
+            assert np.array_equal(got.group_norms, ref.group_norms), s
+            assert np.array_equal(got.gaps, ref.gaps), s
+            assert np.array_equal(got.objectives, np.ldexp(ref.objectives, 2 * s)), s
+
+
+_prox_entries = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)), elements=_prox_entries),
+    st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    st.sampled_from([-600, -300, 0, 300, 600]),
+    arrays(np.float64, 6, elements=st.floats(0.0, 1e3)),
+)
+def test_group_prox_is_the_exact_minimizer(z0, tau0, s, u_seed):
+    # w = prox(z) minimizes 0.5*||w - z||^2 + tau*||w|| over w >= 0, column
+    # by column, iff w >= 0 and <z - w, u - w> <= tau*(||u|| - ||w||) for
+    # every u >= 0.  z and tau are scaled by 2^s; the checks run on the
+    # exactly unscaled w, since the condition is homogeneous, with norms
+    # from math.hypot, which shares no code with the prox.
+    w, w_norms = _group_prox(np.ldexp(z0, s), float(np.ldexp(tau0, s)))
+    assert w.shape == z0.shape and np.isfinite(w).all() and w.min() >= 0.0
+    w0 = np.ldexp(w, -s)
+    eps = np.finfo(np.float64).eps
+    for i in range(z0.shape[1]):
+        z, wi = z0[:, i], w0[:, i]
+        z_pos = math.hypot(*np.maximum(z, 0.0))
+        w_norm = math.hypot(*wi)
+        if tau0 == 0.0:
+            assert np.array_equal(wi, np.maximum(z, 0.0))
+        elif abs(z_pos - tau0) > 4 * eps * z_pos:
+            # w = 0 exactly when ||z_+|| <= tau, away from a rounding tie.
+            assert (not wi.any()) == (z_pos < tau0), (z_pos, tau0, wi)
+        assert math.isclose(math.ldexp(w_norms[i], -s), w_norm, rel_tol=16 * eps, abs_tol=0.0)
+        u_rand = u_seed[: z.size] * (1.0 + z_pos) / (1.0 + math.hypot(*u_seed[: z.size]))
+        for u in (np.zeros_like(z), 2.0 * wi, np.maximum(z, 0.0), u_rand):
+            lhs = float((z - wi) @ (u - wi))
+            rhs = tau0 * (math.hypot(*u) - w_norm)
+            size = (math.hypot(*z) + math.hypot(*u) + tau0) ** 2
+            assert lhs <= rhs + 16 * z.size * eps * size, (u, lhs, rhs)
 
 
 def test_select_by_persistence_rules():
