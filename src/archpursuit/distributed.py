@@ -33,7 +33,7 @@ from .extreme_points import (
     _prepared_rows,
     _pursue_shards,
 )
-from .matrix_io import require_matrix
+from .matrix_io import _checked_indices, require_matrix
 from .nnls import nnls_fit
 
 # Per functional, a worker sends one (value, index) pair for the max and one
@@ -142,18 +142,19 @@ def distributed_weights(
     depends on which other rows its worker holds.  Counts as the second pass
     over the data.  A worker whose fit ends above the KKT
     tolerance ``tol`` (it hit ``max_iter``) emits a RuntimeWarning naming the
-    worker, its KKT residual and ``max_iter``; W is still returned.
+    worker, its KKT residual and ``max_iter``; W is still returned.  An empty
+    H_rows, or a negative, out-of-range or repeated index, raises ValueError.
     """
     X = require_matrix(X, "X")
-    H_rows = np.asarray(H_rows, dtype=np.int64)
-    if H_rows.size == 0:
+    H_rows = _checked_indices(H_rows, X.shape[0])
+    if not H_rows:
         raise ValueError("H_rows must be nonempty")
     if part.n_rows != X.shape[0]:
         raise ValueError(
             f"partition covers {part.n_rows} rows but X has {X.shape[0]}"
         )
     H = X[H_rows]
-    W = np.zeros((X.shape[0], H_rows.size))
+    W = np.zeros((X.shape[0], len(H_rows)))
     for d, rows in enumerate(part.assignment):
         if rows.size == 0:
             continue

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .matrix_io import require_matrix
+from .matrix_io import _checked_indices, require_matrix
 from .nnls import nnls_fit
 
 _SAMPLE_BLOCK = 8192
@@ -35,19 +35,6 @@ _SAMPLE_BLOCK = 8192
 
 # ---------------------------------------------------------------------------
 # Solid angles
-
-
-def _checked_indices(ext_indices, n: int) -> list[int]:
-    """ext_indices as ints, each a distinct row index of an n-row X."""
-    ext = [int(j) for j in ext_indices]
-    seen = set()
-    for j in ext:
-        if not 0 <= j < n:
-            raise ValueError(f"extreme index {j} is out of range for {n} rows")
-        if j in seen:
-            raise ValueError(f"extreme index {j} is repeated")
-        seen.add(j)
-    return ext
 
 
 def estimate_solid_angles(
@@ -397,16 +384,9 @@ def hypercube(d: int) -> VertexPolytope:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     verts = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
-    nbrs = []
-    for i, v in enumerate(verts):
-        nbrs.append(
-            tuple(
-                j
-                for j, u in enumerate(verts)
-                if np.sum(np.abs(u - v)) == 1.0
-            )
-        )
-    return VertexPolytope(f"cube-d{d}", verts, tuple(nbrs))
+    # Vertex i has the bits of i as coordinates: flipping one bit is one edge.
+    nbrs = tuple(tuple(sorted(i ^ 1 << b for b in range(d))) for i in range(2**d))
+    return VertexPolytope(f"cube-d{d}", verts, nbrs)
 
 
 def needle_simplex(k: int, stretch: float) -> VertexPolytope:
@@ -448,52 +428,28 @@ def _base_inradius(vertices: np.ndarray, i: int, alpha: float, a: np.ndarray):
 
     Intersects the tangent cone at vertex i with the hyperplane through the
     projection point; returns the distance from that point to the slice
-    boundary.  Supports slice dimension 1 (interval) and 2 (polygon); other
-    dimensions return (None, note).
+    boundary, in any dimension.  The slice is convex, so that distance is the
+    smallest facet offset: Qhull's facet equations n.u + b <= 0 have unit
+    normals, so at the axis point u = 0 each -b is the distance to a facet.
+    An interval has offsets (min u, -max u).  An axis point on or outside the
+    boundary (within 1e-12) returns (None, note).
     """
-    d = vertices.shape[1]
     h = vertices[i]
     rays = np.delete(vertices, i, axis=0) - h
     along = rays @ a
     if (along <= 1e-12).any():
         return None, "a ray does not cross the base plane"
     pts = alpha * rays / along[:, None]
-    center = alpha * a
-    B = _orthonormal_complement(a)
-    u = (pts - center) @ B  # slice coordinates around the axis point
-    if d - 1 == 1:
-        lo, hi = float(u.min()), float(u.max())
-        if not lo < 0.0 < hi:
-            return None, "axis point outside the base interval"
-        return min(-lo, hi), ""
-    if d - 1 == 2:
-        return _polygon_inradius_at_origin(u)
-    return None, f"base dimension {d - 1} unsupported"
+    u = (pts - alpha * a) @ _orthonormal_complement(a)  # coordinates around the axis point
+    if u.shape[1] == 1:
+        offsets = np.array([u.min(), -u.max()])
+    else:
+        from scipy.spatial import ConvexHull
 
-
-def _polygon_inradius_at_origin(u: np.ndarray):
-    """Distance from the origin to the boundary of conv(u) in the plane."""
-    from scipy.spatial import ConvexHull
-
-    hull = ConvexHull(u)
-    # hull.equations rows are (normal, offset) with normal.x + offset <= 0 inside;
-    # at the origin that reduces to the offsets being negative.
-    if not (hull.equations[:, 2] < -1e-12).all():
-        return None, "axis point outside the base polygon"
-    verts = u[hull.vertices]
-    m = verts.shape[0]
-    dmin = np.inf
-    for e in range(m):
-        pa, pb = verts[e], verts[(e + 1) % m]
-        dmin = min(dmin, _point_segment_distance(np.zeros(2), pa, pb))
-    return float(dmin), ""
-
-
-def _point_segment_distance(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else float(np.clip((q - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(q - (a + t * ab)))
+        offsets = ConvexHull(u).equations[:, -1]
+    if not (offsets < -1e-12).all():
+        return None, "axis point outside the base"
+    return float(-offsets.max()), ""
 
 
 def alpha_upper_bound(omega: float, r_max: float, d: int) -> float:
@@ -535,6 +491,8 @@ def check_simplicial_lemmas(
     with 3-sigma Monte Carlo slack folded into omega.  Vertices whose bound
     preconditions fail are reported with a note instead of a verdict.
     """
+    from scipy.spatial.distance import pdist
+
     checks = []
     for poly in polytopes:
         V = require_matrix(poly.vertices, poly.name)
@@ -542,13 +500,7 @@ def check_simplicial_lemmas(
         ext = list(range(r))
         omega, se = estimate_solid_angles(V, ext, samples=samples, seed=seed)
         for i in range(r):
-            nbrs = list(poly.neighbors[i])
-            nb = V[nbrs]
-            r_max = max(
-                float(np.linalg.norm(nb[a] - nb[b]))
-                for a in range(len(nbrs))
-                for b in range(a + 1, len(nbrs))
-            ) if len(nbrs) >= 2 else 0.0
+            r_max = float(pdist(V[list(poly.neighbors[i])]).max(initial=0.0))
             alpha, s = _nearest_in_hull(
                 V[i], np.delete(V, i, axis=0), alpha_tol, f"{poly.name} vertex {i}"
             )

@@ -33,6 +33,19 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _checked_indices(indices, n: int) -> list[int]:
+    """indices as ints, each a distinct row index of an n-row matrix."""
+    out = [int(j) for j in indices]
+    seen = set()
+    for j in out:
+        if not 0 <= j < n:
+            raise ValueError(f"row index {j} is out of range for {n} rows")
+        if j in seen:
+            raise ValueError(f"row index {j} is repeated")
+        seen.add(j)
+    return out
+
+
 def load_csv(path, skip_header: bool = False) -> np.ndarray:
     """Load a rectangular numeric CSV (no header by default) as an n x p matrix.
 

@@ -159,7 +159,8 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
             x[rows[:, None], f] = xF.T
 
     W = np.maximum(x, 0.0)
+    R = W @ H - X
     norm_x = float(np.linalg.norm(X))
-    rel = float(np.linalg.norm(X - W @ H)) / (norm_x if norm_x > 0 else 1.0)
-    kkt = kkt_residual(X, H, W)
+    rel = float(np.linalg.norm(R)) / (norm_x if norm_x > 0 else 1.0)
+    kkt = float(np.abs(np.minimum(W, R @ H.T)).max())
     return NnlsSolution(W, rel, max(iterations, finished_at), bool(kkt <= tol), kkt)

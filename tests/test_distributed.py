@@ -183,6 +183,16 @@ def test_distributed_weights_validation():
         distributed_weights(inst.X, part, [])
 
 
+@pytest.mark.parametrize(
+    "h_rows, message",
+    [([0, 1, -1], "-1 is out of range"), ([0, 10], "10 is out of range"), ([0, 0, 1], "0 is repeated")],
+)
+def test_distributed_weights_rejects_bad_rows(h_rows, message):
+    inst = gen_uniform_separable(10, 6, 2, seed=0)
+    with pytest.raises(ValueError, match=message):
+        distributed_weights(inst.X, Partition.contiguous(10, 2), h_rows)
+
+
 def test_partition_size_mismatch_rejected():
     inst = gen_uniform_separable(10, 6, 2, seed=0)
     with pytest.raises(ValueError, match="covers"):

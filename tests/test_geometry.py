@@ -521,6 +521,30 @@ def test_cube_checks_run():
     assert all(c.alpha_bound_holds for c in checks)
 
 
+@pytest.mark.parametrize(
+    "poly", [regular_simplex(k) for k in range(3, 7)] + [hypercube(d) for d in range(2, 6)],
+    ids=lambda poly: poly.name,
+)
+def test_lemma_slice_inradius_closed_form(poly):
+    # Both families have r_min = 1/sqrt(d (d - 1)) at every vertex in R^d,
+    # and their slices run from dimension 1 to 4.
+    d = poly.vertices.shape[1]
+    checks = check_simplicial_lemmas([poly], samples=2_000, seed=0)
+    assert len(checks) == poly.vertices.shape[0]
+    for c in checks:
+        assert c.r_min == pytest.approx(1.0 / math.sqrt(d * (d - 1)), abs=1e-12)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_hypercube_neighbors_differ_in_one_coordinate(d):
+    V = hypercube(d).vertices
+    expected = tuple(
+        tuple(j for j in range(len(V)) if np.abs(V[i] - V[j]).sum() == 1.0)
+        for i in range(len(V))
+    )
+    assert hypercube(d).neighbors == expected
+
+
 # ---------------------------------------------------------------------------
 # Report
 
