@@ -269,6 +269,8 @@ def _cmd_diagnose(args) -> int:
         "n_extreme": len(rep.ext_indices),
         "omega_sum": float(rep.omega_hat.sum()),
     }
+    if len(rep.ext_indices) == 1:
+        summary["alpha_note"] = "alpha_hat is 0: a lone archetype has no hull of others"
     with open(f"{args.out_prefix}_summary.json", "w", encoding="ascii") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

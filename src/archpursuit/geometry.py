@@ -55,20 +55,20 @@ def estimate_solid_angles(
 
     Directions are drawn in the row space of X.  The rank r counts the
     singular values above s_0 * max(n, p) * eps; the parts of the rows
-    outside the top r right singular vectors V_r are then no larger than the
-    rounding error of the scoring gemm itself.  For z ~ N(0, I_p),
+    outside the top r right singular vectors V_r are then at most twice
+    that, about the rounding error of the scoring gemm.  For z ~ N(0, I_p),
     z.x_i = (V_r z).(V_r x_i) and V_r z ~ N(0, I_r), so scoring
     r-dimensional draws against Y = X V_r^T is exact in distribution and
     costs r/p of the generation and the gemm.  The rank is found without
     paying for an SVD where it cannot help (see ``_row_space``): a tall X
-    whose triangular QR factor is well conditioned has r = p and goes
-    straight to R^p sampling.
+    whose triangular QR factor R is well conditioned has r = p and goes
+    straight to R^p sampling; any other takes the SVD of R's leading rows.
 
     Seeded results: for rank r = p (and for X = 0) the draws stay in R^p and
     omega_hat is bit-identical to sampling without the row-space step; for
-    r < p the directions come from the r-wide rows of the same
-    ``DOMAIN_ANGLES`` stream, so the seeded estimate changes while its
-    distribution does not.
+    r < p the r-wide rows of the same ``DOMAIN_ANGLES`` stream are turned by
+    V_r (for a tall X, the SVD basis of R's leading rows), so the seeded
+    estimate depends on that basis while its distribution does not.
     """
     X = require_matrix(X, "X")
     ext_indices = np.asarray(_checked_indices(ext_indices, X.shape[0]), dtype=np.int64)
@@ -83,11 +83,11 @@ def estimate_solid_angles(
     while done < samples:
         b = min(_SAMPLE_BLOCK, samples - done)
         Z = _rng.gaussian_rows(seed, _rng.DOMAIN_ANGLES, done, b, Y.shape[1])
-        S = Z @ Y.T
-        top = S.max(axis=1)
-        unique = (S == top[:, None]).sum(axis=1) == 1
-        winners = np.argmax(S, axis=1)[unique]
-        np.add.at(wins, winners, 1)
+        S = Z @ Y.T  # a fresh temporary of finite scores
+        best = (np.arange(b), np.argmax(S, axis=1))
+        top = S[best]
+        S[best] = -np.inf  # the row max is now the runner-up: a tied row keeps it at top
+        np.add.at(wins, best[1][S.max(axis=1) < top], 1)
         done += b
     omega = wins[ext_indices] / samples
     se = np.sqrt(omega * (1.0 - omega) / samples)
@@ -102,10 +102,17 @@ def _row_space(X: np.ndarray) -> np.ndarray | None:
     square X first takes the triangular factor R of X = QR, which has the
     singular values and right singular vectors of X.  If
     ||R||_F * ||R^-1||_F, an upper bound on the condition number, is below
-    2^-10 / (max(n, p) * eps), every singular value clears the rank threshold
+    2^-10 / tol, tol = max(n, p) eps, every singular value clears the threshold
     by a factor 2^10, so r = p at the cost of one QR and one inverse.  Since
     ||R^-1||_F >= 1 / min|r_ii|, a small diagonal entry skips the inverse.
-    Otherwise the SVD of the p x p factor R gives r and V_r.
+    Otherwise only R1 = R[:keep] enters the SVD: keep is the least count
+    whose tail E = R[keep:] has ||E||_F <= max_i ||R_i|| tol (a reversed
+    cumsum of row norms, R being triangular), so keep = p is the full SVD.
+    r counts the singular values s'_j of R1 above s'_0 tol.  Bound: with
+    ||E||_2 <= ||E||_F <= s_0 tol (max_i ||R_i|| <= s_0), s'_0 <= s_0 and
+    P = V_r^T V_r, ||X - XP||_2 = ||R - RP||_2 <= ||R1 - R1 P||_2 + ||E||_2
+    <= s'_0 tol + s_0 tol <= 2 s_0 tol.  Weyl: each s'_j is within ||E||_2
+    of s_j, so r is the full-SVD rank unless an s_j is that near s_0 tol.
     """
     n, p = X.shape
     tol = max(n, p) * np.finfo(np.float64).eps
@@ -116,7 +123,9 @@ def _row_space(X: np.ndarray) -> np.ndarray | None:
         bound = 2.0**-10 / (tol * np.linalg.norm(R))
         if np.abs(np.diag(R)).min() * bound > 1.0 and np.linalg.norm(np.linalg.inv(R)) < bound:
             return None
-        _, s, Vt = np.linalg.svd(R)
+        sq = np.einsum("ij,ij->i", R, R)  # squared row norms; cumsum gives ||R[j:]||_F^2
+        keep = int((np.cumsum(sq[::-1])[::-1] > sq.max() * tol * tol).sum())
+        _, s, Vt = np.linalg.svd(R[:keep], full_matrices=False)
     r = int((s > s[0] * tol).sum())
     return Vt[:r] if r < p else None
 
@@ -259,14 +268,14 @@ def geometry_report(
     delta: float = 0.05,
     alpha_tol: float = 1e-8,
 ) -> GeometryReport:
+    """Solid angles, simplicial constants and kappa at the rows ext_indices.  A
+    lone archetype has no hull of others to measure; its alpha_hat reads 0.0."""
     X = require_matrix(X, "X")
     ext = [int(j) for j in ext_indices]
     omega, se = estimate_solid_angles(X, ext, samples=samples, seed=seed)
-    alpha = np.array(
-        [simplicial_constant(X, ext, j, tol=alpha_tol) for j in ext]
-        if len(ext) >= 2
-        else [np.nan for _ in ext]
-    )
+    alpha = np.zeros(len(ext))
+    if len(ext) >= 2:
+        alpha = np.array([simplicial_constant(X, ext, j, tol=alpha_tol) for j in ext])
     # Guard the kappa formula against zero or > 1/2 estimates from MC noise.
     clipped = np.clip(omega, 0.5 / samples, 0.5)
     kappa, kappa_bar = condition_kappa(clipped)
@@ -489,7 +498,8 @@ def check_simplicial_lemmas(
         omega <= (sqrt(alpha^2 + r_min^2) / (2 r_min))^d   [when applicable]
 
     with 3-sigma Monte Carlo slack folded into omega.  Vertices whose bound
-    preconditions fail are reported with a note instead of a verdict.
+    preconditions fail are reported with a note instead of a verdict.  A
+    polytope in R^1 raises ValueError: r(omega) and the slice need d >= 2.
     """
     from scipy.spatial.distance import pdist
 
@@ -497,6 +507,8 @@ def check_simplicial_lemmas(
     for poly in polytopes:
         V = require_matrix(poly.vertices, poly.name)
         r, d = V.shape
+        if d < 2:
+            raise ValueError(f"{poly.name} lies in R^{d}; the lemma checks need d >= 2")
         ext = list(range(r))
         omega, se = estimate_solid_angles(V, ext, samples=samples, seed=seed)
         for i in range(r):

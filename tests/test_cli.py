@@ -394,3 +394,21 @@ def test_diagnose_degenerate_shapes(tmp_path, capsys, name, select):
     omega = [float(r.split(",")[1]) for r in rows]
     assert all(0.0 <= w <= 1.0 for w in omega)
     assert summary["omega_sum"] == pytest.approx(sum(omega))
+
+
+@pytest.mark.parametrize(
+    "name, select", [("1x1", ["--m", "20"]), ("1x5", ["--m", "20"]), ("5x1", ["--archetypes", "0"])]
+)
+def test_diagnose_lone_archetype_writes_a_readable_alpha(tmp_path, name, select):
+    path = tmp_path / "X.csv"
+    save_csv(DEGENERATE[name], path)
+    prefix = tmp_path / "diag"
+    rc = main(
+        ["diagnose", "--input", str(path), "--samples", "500", "--out-prefix", str(prefix)]
+        + select
+    )
+    assert rc == 0
+    pts = load_csv(f"{prefix}_points.csv", skip_header=True)
+    assert pts.shape == (1, 4) and pts[0, 0] == 0.0 and pts[0, 3] == 0.0
+    summary = json.loads(open(f"{prefix}_summary.json").read())
+    assert "lone archetype" in summary["alpha_note"]

@@ -26,6 +26,7 @@ from archpursuit import (
 )
 from archpursuit import _rng
 from archpursuit.geometry import _nearest_in_hull, cap_area_estimate
+from archpursuit.geometry import _row_space
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -226,6 +227,68 @@ def test_extreme_scales_give_unscaled_counts():
             assert np.isfinite(scaled).all()
             omega, _ = estimate_solid_angles(scaled, range(4), samples=20_000, seed=0)
             assert np.array_equal(omega, base)
+
+
+@st.composite
+def tall_spectra(draw):
+    """(X, r): X = U diag(s) V, n >= p, rows and columns in random order, an
+    optional zero leading column; s_0 = 1 and each designed singular value
+    is either at least 2^10 s_0 tol (r of them) or at most 2^-10 s_0 tol."""
+    p = draw(st.integers(1, 24))
+    n = draw(st.integers(p, 3 * p + 8))
+    zero_col = p >= 2 and draw(st.booleans())
+    q = p - zero_col
+    r = draw(st.integers(1, q))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tol = max(n, p) * np.finfo(np.float64).eps
+    s = np.exp2(rng.uniform(math.log2(tol) + 10.0, 0.0, q))
+    s[0] = 1.0
+    s[r:] = draw(st.sampled_from([0.0, 2.0**-10])) * tol * rng.uniform(size=q - r)
+    U, _ = np.linalg.qr(rng.standard_normal((n, q)))
+    V, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    X = ((U * s) @ V)[rng.permutation(n)][:, rng.permutation(q)]
+    return (np.column_stack([np.zeros(n), X]) if zero_col else X), r
+
+
+@settings(max_examples=300, deadline=None)
+@given(tall_spectra())
+def test_row_space_cut_keeps_the_rank_within_twice_the_threshold(case):
+    X, rank = case
+    n, p = X.shape
+    tol = max(n, p) * np.finfo(np.float64).eps
+    s = np.linalg.svd(X, compute_uv=False)
+    Vr = _row_space(X)
+    r = p if Vr is None else Vr.shape[0]
+    assert r == int((s > s[0] * tol).sum()) == rank
+    if Vr is not None:
+        assert np.allclose(Vr @ Vr.T, np.eye(r), rtol=0.0, atol=1e-12)
+        assert np.linalg.norm(X - X @ Vr.T @ Vr, 2) <= 2.0 * s[0] * tol
+
+
+def test_rank_deficient_square_input_takes_no_p_by_p_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    X = gen_uniform_separable(500, 500, 20, seed=0).X  # rank 20 in R^500
+    omega, _ = estimate_solid_angles(X, range(20), samples=2_000, seed=57)
+    assert calls and all(min(shape) < 500 for shape in calls), calls
+    assert abs(omega.sum() - 1.0) <= 1e-12
+
+
+def test_exact_ties_in_full_rank_input_match_rp_sampling():
+    # Duplicated rows tie whenever they win, and a constant column ties all
+    # rows on every direction; such a direction counts for nobody.
+    V = regular_simplex(4).vertices  # full column rank in R^3
+    for X in (np.vstack([V, V[1], V[1]]), np.vstack([np.eye(3), np.eye(3)]), np.full((4, 1), 2.0)):
+        ext = range(X.shape[0])
+        omega, _ = estimate_solid_angles(X, ext, samples=20_000, seed=58)
+        assert np.array_equal(omega, rp_solid_angles(X, ext, 20_000, 58))
+    assert omega.sum() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +596,12 @@ def test_lemma_slice_inradius_closed_form(poly):
     assert len(checks) == poly.vertices.shape[0]
     for c in checks:
         assert c.r_min == pytest.approx(1.0 / math.sqrt(d * (d - 1)), abs=1e-12)
+
+
+@pytest.mark.parametrize("poly", [hypercube(1), regular_simplex(2)], ids=lambda poly: poly.name)
+def test_lemma_checks_reject_a_polytope_in_r1(poly):
+    with pytest.raises(ValueError, match=rf"{poly.name} lies in R\^1; .* need d >= 2"):
+        check_simplicial_lemmas([poly], samples=100, seed=0)
 
 
 @pytest.mark.parametrize("d", range(1, 8))
