@@ -229,16 +229,19 @@ def simplicial_constant(X, ext_indices, i: int, tol: float = 1e-8) -> float:
     the gap ||y||^2 - min_j b_j.y by tol / sigma, and alpha lies within
     gap / ||y|| of the exact distance.  An unconverged NNLS, or a gap above
     2 tol / sigma + tau max_j ||b_j||, emits a RuntimeWarning naming row i.
-    A negative, out-of-range or repeated index raises ValueError.
+    A negative, out-of-range or repeated index raises ValueError, and so does
+    a non-finite entry in the extreme rows; the other rows are not read.
     """
-    X = require_matrix(X, "X")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-dimensional, got shape {X.shape}")
     ext_indices = _checked_indices(ext_indices, X.shape[0])
     if len(ext_indices) < 2:
         raise ValueError("need at least two extreme points")
     if i not in ext_indices:
         raise ValueError(f"index {i} is not among the extreme indices")
-    others = [j for j in ext_indices if j != i]
-    alpha, _ = _nearest_in_hull(X[i], X[others], tol, f"row {i}")
+    A = require_matrix(X[[i] + [j for j in ext_indices if j != i]], "X")
+    alpha, _ = _nearest_in_hull(A[0], A[1:], tol, f"row {i}")
     return alpha
 
 

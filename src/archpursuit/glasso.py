@@ -59,16 +59,16 @@ def _column_norms(V: np.ndarray, floor: float = 0.0) -> np.ndarray:
     power of two of their largest entry.  A plain norm below 2^-500 means a
     true norm below 2^-499, so when ``floor`` >= 2^-499 (the caller only
     needs to know which norms lie under it) such columns are not measured
-    again.
+    again.  When no column needs it, the plain norms return at once.
     """
     norms = np.sqrt(np.einsum("ij,ij->j", V, V))
-    odd = ~(norms <= 2.0**500)
-    if floor < 2.0**-499:
-        odd |= norms < 2.0**-500
-    if odd.any():
-        sub = V[:, odd]
-        e = np.frexp(np.abs(sub).max(axis=0, initial=0.0))[1]
-        norms[odd] = np.ldexp(np.linalg.norm(np.ldexp(sub, -e), axis=0), e)
+    low = 2.0**-500 if floor < 2.0**-499 else 0.0
+    if norms.max(initial=0.0) <= 2.0**500 and (low == 0.0 or norms.min() >= low):
+        return norms
+    odd = ~((norms <= 2.0**500) & (norms >= low))
+    sub = V[:, odd]
+    e = np.frexp(np.abs(sub).max(axis=0, initial=0.0))[1]
+    norms[odd] = np.ldexp(np.linalg.norm(np.ldexp(sub, -e), axis=0), e)
     return norms
 
 
@@ -77,14 +77,14 @@ def _group_prox(Z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
 
     Clipping at zero and then shrinking each column v by
     max(0, 1 - tau / ||v||) is the exact minimizer of
-    0.5 * ||W - Z||_F^2 + tau * sum_i ||w_i|| over W >= 0.  Returns the
-    minimizer and its column norms.
+    0.5 * ||W - Z||_F^2 + tau * sum_i ||w_i|| over W >= 0.  Z is overwritten
+    with the minimizer; returns it and its column norms.
     """
-    V = np.maximum(Z, 0.0)
-    norms = _column_norms(V, floor=tau)
+    np.maximum(Z, 0.0, out=Z)
+    norms = _column_norms(Z, floor=tau)
     shrunk = np.maximum(norms - tau, 0.0)
-    V *= np.divide(shrunk, norms, out=np.zeros_like(norms), where=shrunk > 0.0)
-    return V, shrunk
+    Z *= np.divide(shrunk, norms, out=norms, where=norms > 0.0)
+    return Z, shrunk
 
 
 def lambda_max(X, H) -> float:
@@ -151,7 +151,7 @@ class LassoPath:
     objectives: np.ndarray
     fit_objectives: np.ndarray
     iterations: np.ndarray
-    gaps: np.ndarray | None = None
+    gaps: np.ndarray
 
 
 def solve_path(
@@ -163,32 +163,34 @@ def solve_path(
 
     Per penalty value, iterations stop once the relative change of the
     objective over a 10-iteration window drops below tol.  Each iteration
-    takes a gradient step on the quadratic fit from the extrapolated point
-    and applies the exact prox of the penalty and W >= 0 (``_group_prox``),
-    so W stays entrywise non-negative exactly; a step that raises the
-    objective restarts the momentum from the last accepted iterate.  A
+    takes a gradient step on the fit from the extrapolated point Y, folded
+    into one product Y (I - H H^T / L) + X H^T / L of factors formed once,
+    and applies the exact prox of the penalty and W >= 0 (``_group_prox``)
+    in place, so W stays entrywise non-negative exactly; a step that raises
+    the objective restarts the momentum from the last accepted iterate.  A
     penalty that uses up max_iter_per_lambda iterations without meeting the
     stopping rule is named in a RuntimeWarning; its solution is the last
-    accepted iterate.  Scaling X and H by 2^s and the grid by 2^(2s) scales
-    nothing but the objectives, and them exactly, while no entry overflows
-    or underflows.
+    accepted iterate.  Scaling X and H by 2^s and the grid by 2^(2s) leaves
+    both factors alone and scales nothing but the objectives, and them
+    exactly, while no entry overflows or underflows.
     """
     X, H = prob.X, prob.H
     n = X.shape[0]
     k = H.shape[0]
     HHt = H @ H.T
     XHt = X @ H.T
-    xx = float(np.einsum("ij,ij->", X, X))
+    xx = float(np.vdot(X, X))
     L = 1.01 * float(np.linalg.eigvalsh(HHt)[-1])
     if L <= 0.0:
         raise ValueError("H has no energy; group lasso path is undefined")
+    step = np.eye(k) - HHt / L
+    shift = XHt / L
 
     def fit_value(W):
-        return 0.5 * xx - float(np.einsum("ij,ij->", W, XHt)) + 0.5 * float(
-            np.einsum("ij,ij->", W, W @ HHt)
-        )
+        return 0.5 * xx - float(np.vdot(W, XHt)) + 0.5 * float(np.vdot(W, W @ HHt))
 
     W = np.zeros((n, k))
+    Y_next = np.empty((n, k))  # the extrapolated point; never aliases W
     norms, fit = np.zeros(k), 0.5 * xx
     weights = []
     norms_out = np.zeros((prob.lambda_grid.size, k))
@@ -203,12 +205,15 @@ def solve_path(
     slack = 32.0 * np.finfo(np.float64).eps * xx
 
     for gi, lam in enumerate(prob.lambda_grid):
+        tau = lam / L
         Y, mom = W, 1.0
         F = fit + lam * float(norms.sum())
         window = []
         used = 0
         for used in range(1, max_iter_per_lambda + 1):
-            V, V_norms = _group_prox(Y - (Y @ HHt - XHt) / L, lam / L)
+            V = Y @ step
+            V += shift
+            V_norms = _group_prox(V, tau)[1]
             F_new = fit_value(V) + lam * float(V_norms.sum())
             window.append(_relative_change(F_new, F))
             if F_new > F + slack:
@@ -216,7 +221,9 @@ def solve_path(
                 Y, mom = W, 1.0
             else:
                 mom_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * mom * mom))
-                Y = V + ((mom - 1.0) / mom_next) * (V - W)
+                Y = np.subtract(V, W, out=Y_next)
+                Y *= (mom - 1.0) / mom_next
+                Y += V
                 W, mom, F = V, mom_next, F_new
             if len(window) >= 10 and max(window[-10:]) < tol:
                 break
@@ -276,7 +283,7 @@ def _duality_gap(W, norms, lam, HHt, XHt, fit) -> float:
     g_max = float(np.linalg.norm(np.maximum(G, 0.0), axis=0).max(initial=0.0))
     s = 1.0 if g_max <= lam else lam / g_max
     penalty = lam * float(norms.sum())
-    gap = fit * (1.0 - s) ** 2 + penalty - s * float(np.einsum("ij,ij->", W, G))
+    gap = fit * (1.0 - s) ** 2 + penalty - s * float(np.vdot(W, G))
     primal = fit + penalty
     return gap / primal if primal > 0 else 0.0
 

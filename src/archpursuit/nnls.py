@@ -5,6 +5,14 @@ pivoting (Kim & Park 2011), an active-set method of the Lawson-Hanson family,
 on the k x k Gram matrix H H^T.  The problem decomposes over the rows of X,
 and the solver preserves that: each row carries its own passive set and
 pivoting state, and rows that share a passive set are solved together.
+
+Each passive-set system C_FF x_F = D_F is solved by LU when C = H H^T is
+well conditioned, else by min-norm ``np.linalg.lstsq`` (k > p, duplicate or
+zero rows of H).  LU needs cond(C) < 1 / (16 k eps) by the computed
+eigenvalues, whose own rounding the 16 covers.  Cauchy interlacing gives
+cond(C_FF) <= cond(C) < 1 / (k eps) for every principal submatrix, so
+lstsq's cutoff, k_F eps times the top singular value of C_FF, truncates
+nothing: lstsq would return the unique solution LU returns, up to rounding.
 """
 
 from __future__ import annotations
@@ -92,16 +100,17 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
     Notes
     -----
     Block principal pivoting on C = H H^T and D = X H^T.  Each row keeps a
-    passive set F; x solves C_FF x_F = D_F (min-norm if C_FF is singular),
-    x = 0 off F, and y = x C - D.  A round exchanges all infeasible indices
-    (x < 0 on F, y < -tol off F) of each unfinished row while their count
-    keeps falling and for three rounds after; rows that share F share one
-    multi-right-hand-side solve.  A row whose exchanges stall then finishes
-    by Lawson-Hanson, which, unlike Murty's single-exchange rule, cannot
-    cycle when k > p.  A row stops once nothing is infeasible or the
-    Gram-form KKT of max(x, 0) is <= tol, so rounding noise cannot keep it
-    flipping.  W = max(x, 0); ``iterations`` counts rounds, Lawson-Hanson
-    ones included; ``kkt`` is the residual-form :func:`kkt_residual`.
+    passive set F; x solves C_FF x_F = D_F (by LU or min-norm, see the
+    module docstring), x = 0 off F, and y = x C - D.  A round exchanges all
+    infeasible indices (x < 0 on F, y < -tol off F) of each unfinished row
+    while their count keeps falling and for three rounds after; rows that
+    share F share one multi-right-hand-side solve.  A row whose exchanges
+    stall then finishes by Lawson-Hanson, which, unlike Murty's
+    single-exchange rule, cannot cycle when k > p.  A row stops once nothing
+    is infeasible or the Gram-form KKT of max(x, 0) is <= tol, so rounding
+    noise cannot keep it flipping.  W = max(x, 0); ``iterations`` counts
+    rounds, Lawson-Hanson ones included; ``kkt`` is the residual-form
+    :func:`kkt_residual`.
     """
     X = require_matrix(X, "X")
     H = require_matrix(H, "H")
@@ -120,6 +129,8 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
 
     C = H @ H.T
     D = X @ H.T
+    eig = np.linalg.eigvalsh(C)
+    lu = eig[0] > 16.0 * k * np.finfo(np.float64).eps * eig[-1]
     x = np.zeros((n, k))
     passive = np.zeros((n, k), dtype=bool)
     best = np.full(n, k + 1)  # fewest infeasible indices seen, per row
@@ -154,7 +165,8 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
         cuts = np.flatnonzero((np.diff(packed[order], axis=0) != 0).any(axis=1)) + 1
         for rows in np.split(todo[order], cuts):
             f = np.flatnonzero(passive[rows[0]])
-            xF = np.linalg.lstsq(C[f[:, None], f], D[rows[:, None], f].T, rcond=None)[0]
+            A, B = C[f[:, None], f], D[rows[:, None], f].T
+            xF = np.linalg.solve(A, B) if lu else np.linalg.lstsq(A, B, rcond=None)[0]
             x[rows] = 0.0
             x[rows[:, None], f] = xF.T
 

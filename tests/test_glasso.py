@@ -11,12 +11,14 @@ from hypothesis.extra.numpy import arrays
 
 from archpursuit import (
     GroupLassoProblem,
+    PursuitConfig,
     default_lambda_grid,
     gen_noisy_pairs,
     gen_uniform_separable,
     lambda_max,
     nnls_fit,
     project_cone_orthant,
+    pursue,
     select_by_persistence,
     solve_path,
 )
@@ -354,6 +356,7 @@ def _fabricated_path(active, norms, lambdas):
         objectives=np.zeros(T),
         fit_objectives=np.zeros(T),
         iterations=np.zeros(T, dtype=np.int64),
+        gaps=np.zeros(T),
     )
 
 
@@ -406,6 +409,36 @@ def test_persistence_selects_true_rows_on_noisy_pairs():
             picked = select_by_persistence(path, k)
         hits += sorted(cand[g] for g in picked) == list(range(k))
     assert hits / trials >= 0.90
+
+
+# solve_path at noise_cell's settings (m = 180 candidates pursued, 20 grid
+# points, tol 1e-7, 1,000 iterations per lambda) on seeded noisy pairs:
+# (seed, epsilon, candidates, iterations per lambda), recorded from the
+# solver before its gradient step was folded into one product.  Every
+# instance selects the 20 true rows.
+_NOISE_CELL_PATHS = [
+    (0, 0.01, 47, [10, 140, 96, 91, 57, 55, 73, 73, 74, 72]
+       + [80, 86, 90, 92, 92, 92, 90, 88, 84, 57]),
+    (1, 0.03, 75, [10, 296, 335, 246, 77, 69, 71, 91, 93, 86]
+       + [96, 104, 108, 110, 110, 107, 104, 141, 173, 215]),
+    (2, 0.1, 135, [10, 195, 140, 192, 226, 223, 126, 119, 118, 117]
+       + [144, 198, 193, 189, 170, 252, 286, 217, 221, 226]),
+]
+
+
+@pytest.mark.parametrize("seed, eps, n_cand, iterations", _NOISE_CELL_PATHS)
+def test_noise_cell_path_iterations_and_selection_are_pinned(seed, eps, n_cand, iterations):
+    k = 20
+    X = gen_noisy_pairs(1000, k, eps, seed)
+    cand = list(pursue(X, PursuitConfig(m=math.ceil(3 * k * math.log(k)), seed=seed)).indices)
+    assert len(cand) == n_cand
+    grid = default_lambda_grid(lambda_max(X, X[cand]), num=20)
+    path = solve_path(GroupLassoProblem(X, X[cand], grid), tol=1e-7, max_iter_per_lambda=1000)
+    assert path.iterations.tolist() == iterations
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        picked = select_by_persistence(path, k)
+    assert {cand[g] for g in picked} == set(range(k))
 
 
 def test_grid_validation():

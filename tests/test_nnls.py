@@ -168,3 +168,79 @@ def test_rows_solved_alone_match_the_joint_solve(problem):
     for i in range(X.shape[0]):
         alone = _fit_quietly(X[i : i + 1], H).W
         assert np.abs(alone[0] - joint[i]).max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Passive-set solves: LU on well-conditioned H H^T, min-norm lstsq otherwise
+
+
+def _counted_solvers(monkeypatch):
+    """Count the calls of np.linalg.solve and np.linalg.lstsq."""
+    calls = {"solve": 0, "lstsq": 0}
+    solve, lstsq = np.linalg.solve, np.linalg.lstsq
+
+    def counted_solve(A, B):
+        calls["solve"] += 1
+        return solve(A, B)
+
+    def counted_lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    return calls
+
+
+def _noisy_mixture(rng, n, H, noise=0.05):
+    return rng.random((n, H.shape[0])) @ H + noise * rng.standard_normal((n, H.shape[1]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lu_and_lstsq_branches_agree_on_well_conditioned_h(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((12, 40))
+    X = _noisy_mixture(rng, 150, H)
+    tol = 1e-8
+    calls = _counted_solvers(monkeypatch)
+    lu = nnls_fit(X, H, tol=tol)
+    assert calls["solve"] > 0 and calls["lstsq"] == 0, calls
+    monkeypatch.setattr(np.linalg, "solve", lambda A, B: np.linalg.lstsq(A, B, rcond=None)[0])
+    ref = nnls_fit(X, H, tol=tol)
+    assert calls["lstsq"] > 0
+    assert lu.converged and ref.converged
+    assert lu.kkt <= tol and ref.kkt <= tol
+    assert lu.iterations == ref.iterations
+    assert np.abs(lu.W - ref.W).max() <= tol
+    assert abs(lu.relative_residual - ref.relative_residual) <= 1e-12
+
+
+def _k_above_p(rng):
+    return rng.standard_normal((9, 6))
+
+
+def _duplicate_row(rng):
+    H = rng.standard_normal((6, 15))
+    H[4] = H[1]
+    return H
+
+
+def _zero_row(rng):
+    H = rng.standard_normal((6, 15))
+    H[2] = 0.0
+    return H
+
+
+@pytest.mark.parametrize("make_h", [_k_above_p, _duplicate_row, _zero_row])
+def test_singular_h_takes_the_lstsq_branch(make_h, monkeypatch):
+    rng = np.random.default_rng(11)
+    H = make_h(rng)
+    X = _noisy_mixture(rng, 60, H)
+    calls = _counted_solvers(monkeypatch)
+    sol = _fit_quietly(X, H)
+    assert calls["solve"] == 0 and calls["lstsq"] > 0, calls
+    assert sol.converged and sol.W.min() >= 0.0
+    for i in range(X.shape[0]):
+        _, rnorm = scipy_nnls(H.T, X[i])
+        mine = 0.5 * np.sum((X[i] - sol.W[i] @ H) ** 2)
+        assert mine <= 0.5 * rnorm**2 + 1e-9 * 0.5 * X[i] @ X[i]
