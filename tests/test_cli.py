@@ -196,6 +196,17 @@ def test_glasso_noise_csv(tmp_path):
     assert load_csv(out, skip_header=True).shape == (1, 5)
 
 
+@pytest.mark.parametrize("command", ["noise", "glasso-noise"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_noise_rejects_nonpositive_trials(tmp_path, capsys, command, trials):
+    out = tmp_path / "noise.csv"
+    rc = main([command, "--k", "4", "--p", "30", "--trials", trials, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: trials must be >= 1"]
+    assert not out.exists()
+
+
 def test_scree_csv(tmp_path, instance_csv):
     path, inst = instance_csv
     out = tmp_path / "scree.csv"

@@ -1,5 +1,9 @@
 """Experiment harnesses: sweep cells, noise cells, scree, classify, factorize."""
 
+import sys
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from archpursuit import (
     run_scree,
     run_sweep,
 )
+from archpursuit import experiments
 from archpursuit.experiments import noise_cell, recovery_fraction
 
 
@@ -80,6 +85,14 @@ def test_run_noise_grid_rows():
     assert len(rows) == 2
     assert rows[0][3] <= 1e-6  # eps = 0 is exactly separable
     assert rows[1][3] > rows[0][3]
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_noise_rejects_nonpositive_trials(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        NoiseSpec(trials=trials)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        noise_cell(k=5, p=40, m=40, epsilon=0.0, trials=trials, seed=2, select_k=5)
 
 
 def test_run_scree_single_row_matrix():
@@ -223,11 +236,64 @@ def test_threads_env_cap(monkeypatch):
 
 def test_results_independent_of_thread_cap(monkeypatch):
     spec = SweepSpec(k_values=(4,), multipliers=(3.0,), trials=6, n=30, p=20, seed=7)
-    monkeypatch.setenv("ARCHPURSUIT_THREADS", "1")
-    serial = run_sweep(spec)
-    monkeypatch.setenv("ARCHPURSUIT_THREADS", "4")
-    threaded = run_sweep(spec)
-    assert serial.grid == threaded.grid
+    results = {}
+    for cap in ("1", "2", "4"):
+        monkeypatch.setenv("ARCHPURSUIT_THREADS", cap)
+        results[cap] = (
+            run_sweep(spec).grid,
+            noise_cell(5, 40, 60, 0.05, 6, seed=3, select_k=3),
+            noise_cell(5, 40, 60, 0.05, 6, seed=3, select_k=3, selector="glasso", grid_points=8),
+        )
+    assert results["1"] == results["2"] == results["4"]
+
+
+def test_noise_cell_solvers_run_one_trial_at_a_time(monkeypatch):
+    # Pursuit runs on the trial threads; the path and the fit must not
+    # overlap across trials.  Each wrapped call sleeps so that two unlocked
+    # threads would overlap for certain.
+    monkeypatch.setenv("ARCHPURSUIT_THREADS", "2")
+    spans = []
+
+    def timed(fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            time.sleep(0.02)
+            out = fn(*args, **kwargs)
+            spans.append((start, time.perf_counter()))
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(experiments, "solve_path", timed(experiments.solve_path))
+    monkeypatch.setattr(
+        experiments, "_fit_residual_per_row", timed(experiments._fit_residual_per_row)
+    )
+    noise_cell(5, 40, 60, 0.05, 4, seed=3, select_k=2, selector="glasso", grid_points=8)
+    spans.sort()
+    assert len(spans) == 8
+    for (_, end), (start, _) in zip(spans, spans[1:]):
+        assert end <= start
+
+
+def test_threaded_noise_cells_leave_warnings_filters_alone(monkeypatch):
+    # _quietly installs a filter through process-wide state; two trial
+    # threads inside it at once can restore each other's copy and leave an
+    # "ignore RuntimeWarning" filter behind for good.  The outer
+    # catch_warnings only keeps a failure from leaking into later tests.
+    monkeypatch.setenv("ARCHPURSUIT_THREADS", "2")
+    interval = sys.getswitchinterval()
+    with warnings.catch_warnings():
+        before = list(warnings.filters)
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(6):
+                noise_cell(5, 40, 60, 0.05, 16, seed=seed, select_k=2)
+                noise_cell(
+                    5, 40, 60, 0.05, 4, seed=seed, select_k=2, selector="glasso", grid_points=8
+                )
+                assert warnings.filters == before
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_sweep_recovery_monotone_in_multiplier():
