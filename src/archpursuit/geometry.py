@@ -1,14 +1,15 @@
 """Condition-number machinery: solid angles, simplicial constants, sample bounds.
 
 The solid angle omega_i of the normal cone at extreme point i is the
-probability that a random Gaussian direction is maximized at that point; the
-omega_i over all extreme points sum to one, and each lies in [0, 1/2).  The
-number of random functionals needed to find everything scales like
+probability that a random Gaussian direction is maximized at that point, ties
+going to the lowest row index as in pursuit; the omega_i over all rows sum to
+one.  The number of random functionals needed to find everything scales like
 kappa * log(k/delta) with kappa = 1 / log(1 / max_i(1 - 2*omega_i)).
 
-The Monte Carlo estimate of the omega_i draws its directions in the row space
-of X, not in R^p: a score z.x_i sees only the part of z inside that space, so
-a rank-r X needs Gaussian draws in R^r (see ``estimate_solid_angles``).
+The Monte Carlo estimate scores antithetic pairs (z, -z) with the pursuit
+kernel and draws z in the row space of X: a score z.x_i sees only the part of
+z inside that space, so a rank-r X needs draws in R^r (see
+``estimate_solid_angles``).
 
 The simplicial constant alpha_i, the distance from extreme point i to the
 hull of the others, is solved exactly as a least-distance NNLS (see
@@ -27,10 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
+from .extreme_points import block_optima
 from .matrix_io import _checked_indices, require_matrix
 from .nnls import nnls_fit
 
-_SAMPLE_BLOCK = 8192
+# Bytes of scores (solid angles) or draws (cap areas) per Monte Carlo block;
+# a solid-angle block keeps _MIN_PAIRS pairs, as narrower ones cost 1.5-7x
+# more per score in the column reductions of ``block_optima``.
+_BLOCK_BYTES = 2**21
+_MIN_PAIRS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -42,11 +48,20 @@ def estimate_solid_angles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo solid angles of the normal cones at the given rows.
 
-    For each Gaussian direction z, the row with the strictly largest score
-    z.x_i gets the sample; ties (measure zero) count for nobody.  Returns
-    (omega_hat, standard_errors) aligned with ext_indices.  A candidate row
-    that is not actually extreme simply estimates to zero.  A negative,
-    out-of-range or repeated index raises ValueError.
+    ceil(samples / 2) antithetic pairs (z, -z) of Gaussian directions (an
+    odd ``samples`` draws one extra direction) are scored by the pursuit
+    kernel ``block_optima``: the argmax row wins z and the argmin row wins
+    -z, the lowest row index on ties.  So omega_hat_i = wins_i / (2 pairs)
+    sums to exactly 1 over all rows, a duplicate leaves its angle to its
+    first copy, and a one-point hull gets omega = 1.  The standard error is
+    the per-pair one, sqrt((mean(y^2) - omega_i^2) / pairs) with
+    y = (1[max = i] + 1[min = i]) / 2.  Returns (omega_hat, standard_errors)
+    aligned with ext_indices; a row that is not extreme estimates to zero.
+    A negative, out-of-range or repeated index raises ValueError.
+
+    A block scores b = max(_MIN_PAIRS, _BLOCK_BYTES // 8n) pairs, rows
+    [done, done + b) of the ``DOMAIN_ANGLES`` stream: at most 2 MiB of scores
+    up to n = 4,096 rows and 512 bytes per row beyond, whatever ``samples``.
 
     X is first scaled by the power of two that puts max|X| in [0.5, 1).  The
     scaling is exact and leaves every angle alone; afterwards no score of a
@@ -59,16 +74,13 @@ def estimate_solid_angles(
     that, about the rounding error of the scoring gemm.  For z ~ N(0, I_p),
     z.x_i = (V_r z).(V_r x_i) and V_r z ~ N(0, I_r), so scoring
     r-dimensional draws against Y = X V_r^T is exact in distribution and
-    costs r/p of the generation and the gemm.  The rank is found without
-    paying for an SVD where it cannot help (see ``_row_space``): a tall X
-    whose triangular QR factor R is well conditioned has r = p and goes
-    straight to R^p sampling; any other takes the SVD of R's leading rows.
+    costs r/p of the generation and the gemm (``_row_space`` finds V_r).
 
     Seeded results: for rank r = p (and for X = 0) the draws stay in R^p and
     omega_hat is bit-identical to sampling without the row-space step; for
     r < p the r-wide rows of the same ``DOMAIN_ANGLES`` stream are turned by
-    V_r (for a tall X, the SVD basis of R's leading rows), so the seeded
-    estimate depends on that basis while its distribution does not.
+    V_r, so the seeded estimate depends on that basis while its distribution
+    does not.
     """
     X = require_matrix(X, "X")
     ext_indices = np.asarray(_checked_indices(ext_indices, X.shape[0]), dtype=np.int64)
@@ -78,20 +90,21 @@ def estimate_solid_angles(
     X = np.ldexp(X, -math.frexp(max(X.max(initial=0.0), -X.min(initial=0.0)))[1])
     Vr = _row_space(X) if X.any() else None
     Y = X if Vr is None else X @ Vr.T
+    r = Y.shape[1]
+    pairs = -(-samples // 2)
+    block = max(_MIN_PAIRS, _BLOCK_BYTES // (8 * n))
     wins = np.zeros(n, dtype=np.int64)
-    done = 0
-    while done < samples:
-        b = min(_SAMPLE_BLOCK, samples - done)
-        Z = _rng.gaussian_rows(seed, _rng.DOMAIN_ANGLES, done, b, Y.shape[1])
-        S = Z @ Y.T  # a fresh temporary of finite scores
-        best = (np.arange(b), np.argmax(S, axis=1))
-        top = S[best]
-        S[best] = -np.inf  # the row max is now the runner-up: a tied row keeps it at top
-        np.add.at(wins, best[1][S.max(axis=1) < top], 1)
-        done += b
-    omega = wins[ext_indices] / samples
-    se = np.sqrt(omega * (1.0 - omega) / samples)
-    return omega, se
+    both = np.zeros(n, dtype=np.int64)  # pairs won at both ends (all rows tie)
+    for done in range(0, pairs, block):
+        Z = _rng.gaussian_rows(seed, _rng.DOMAIN_ANGLES, done, min(block, pairs - done), r)
+        best = block_optima(Y, Z.T)
+        wins += np.bincount(best.max_idx, minlength=n) + np.bincount(best.min_idx, minlength=n)
+        both += np.bincount(best.max_idx[best.max_idx == best.min_idx], minlength=n)
+    wins, both = wins[ext_indices], both[ext_indices]
+    # sum y = wins / 2 and sum y^2 = wins / 4 + both / 2, so 4 pairs^3 se^2 =
+    # pairs (wins + 2 both) - wins^2, an exact integer and never negative.
+    se = np.sqrt(pairs * (wins + 2 * both) - wins * wins) / (2.0 * pairs**1.5)
+    return wins / (2 * pairs), se
 
 
 def _row_space(X: np.ndarray) -> np.ndarray | None:
@@ -127,33 +140,35 @@ def _row_space(X: np.ndarray) -> np.ndarray | None:
         keep = int((np.cumsum(sq[::-1])[::-1] > sq.max() * tol * tol).sum())
         _, s, Vt = np.linalg.svd(R[:keep], full_matrices=False)
     r = int((s > s[0] * tol).sum())
-    return Vt[:r] if r < p else None
+    # LAPACK's singular vectors are unit only to a few eps, which for n = p = 2
+    # is the whole bound above; normalized, they are unit to about an ulp.
+    return Vt[:r] / np.linalg.norm(Vt[:r], axis=1, keepdims=True) if r < p else None
 
 
 def condition_kappa(omega) -> tuple[float, float]:
-    """(kappa, kappa_bar) from per-point solid angles.
+    """(kappa, kappa_bar) from per-point solid angles in (0, 1].
 
     kappa = 1 / log(1 / max_i(1 - 2*omega_i)); kappa_bar = kappa / k.
-    All omega = 1/2 (a segment) gives kappa = 0: any single functional finds
-    both endpoints.
+    A largest omega of 1/2 or more gives kappa = 0: only a segment (both
+    ends 1/2) or a single point (omega = 1) has a normal cone that wide, and
+    any single functional finds all of its extreme points.
     """
     omega = np.asarray(omega, dtype=np.float64)
     if omega.size == 0:
         raise ValueError("omega must be nonempty")
-    if (omega <= 0).any():
-        raise ValueError("omega entries must be positive")
-    if (omega > 0.5).any():
-        raise ValueError("omega entries cannot exceed 1/2")
-    worst = float((1.0 - 2.0 * omega).max())
-    if worst == 0.0:
+    if not ((omega > 0.0) & (omega <= 1.0)).all():
+        raise ValueError("omega entries must lie in (0, 1]")
+    if omega.max() >= 0.5:
         return 0.0, 0.0
+    worst = float((1.0 - 2.0 * omega).max())
     kappa = 1.0 / math.log(1.0 / worst)
     return kappa, kappa / omega.size
 
 
 def required_m(omega, k: int, delta: float) -> int:
     """Functional count ceil(kappa * log(k/delta)) guaranteeing full recovery
-    with probability at least 1 - delta (never less than 1)."""
+    with probability at least 1 - delta (never less than 1; exactly 1 when
+    max omega >= 1/2, see ``condition_kappa``)."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if k < 1:
@@ -279,8 +294,8 @@ def geometry_report(
     alpha = np.zeros(len(ext))
     if len(ext) >= 2:
         alpha = np.array([simplicial_constant(X, ext, j, tol=alpha_tol) for j in ext])
-    # Guard the kappa formula against zero or > 1/2 estimates from MC noise.
-    clipped = np.clip(omega, 0.5 / samples, 0.5)
+    # Guard the kappa formula against zero estimates from MC noise.
+    clipped = np.maximum(omega, 0.5 / samples)
     kappa, kappa_bar = condition_kappa(clipped)
     m_req = required_m(clipped, len(ext), delta)
     return GeometryReport(
@@ -314,14 +329,12 @@ def cap_area_estimate(
     p_dim: int, height: float, samples: int, seed: int, first: int = 0
 ) -> tuple[float, float]:
     """Monte Carlo normalized area of the spherical cap {u : u_1 >= height}."""
-    done = 0
     hits = 0
-    while done < samples:
-        b = min(_SAMPLE_BLOCK, samples - done)
+    block = max(1, _BLOCK_BYTES // (8 * p_dim))
+    for done in range(0, samples, block):
+        b = min(block, samples - done)
         Z = _rng.gaussian_rows(seed, _rng.DOMAIN_CAPS, first + done, b, p_dim)
-        U = Z / np.linalg.norm(Z, axis=1, keepdims=True)
-        hits += int((U[:, 0] >= height).sum())
-        done += b
+        hits += int((Z[:, 0] / np.linalg.norm(Z, axis=1) >= height).sum())
     area = hits / samples
     return area, math.sqrt(area * (1.0 - area) / samples)
 

@@ -405,6 +405,12 @@ def test_diagnose_degenerate_shapes(tmp_path, capsys, name, select):
     omega = [float(r.split(",")[1]) for r in rows]
     assert all(0.0 <= w <= 1.0 for w in omega)
     assert summary["omega_sum"] == pytest.approx(sum(omega))
+    if name in ("constant", "zero"):
+        # Five copies of one point: row 0 wins every tie and owns the whole
+        # sphere, and one functional finds it.
+        assert [int(r.split(",")[0]) for r in rows] == [0] and omega == [1.0]
+        assert summary["kappa"] == 0.0 and summary["m_required"] == 1
+        assert summary["omega_sum"] == 1.0
 
 
 @pytest.mark.parametrize(

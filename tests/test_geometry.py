@@ -1,11 +1,12 @@
 """Solid angles, simplicial constants, sample-size formula, inequality checks."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,7 +25,8 @@ from archpursuit import (
     required_m,
     simplicial_constant,
 )
-from archpursuit import _rng
+from archpursuit import _rng, geometry
+from archpursuit.extreme_points import linear_scores
 from archpursuit.geometry import _nearest_in_hull, cap_area_estimate
 from archpursuit.geometry import _row_space
 
@@ -110,21 +112,29 @@ def test_polygon_angles_match_exact_formula():
             assert abs(o - e) <= 3 * max(s, 1e-4)
 
 
-def rp_solid_angles(X, ext, samples, seed):
-    """The estimator without the row-space step: every direction drawn in
-    R^p and scored against X itself."""
+def rp_win_counts(X, samples, seed):
+    """Integer wins per row of the estimator without the row-space step or
+    the certified gemm: each antithetic pair (z, -z) drawn in R^p, scored
+    against X itself on the per-row path, and won by the argmax (for z) and
+    the argmin (for -z), ties to the lowest index.  Pairs are scored in the
+    estimator's blocks, since a per-row product may round a column
+    differently in a block of another width."""
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
+    pairs = -(-samples // 2)
+    block = max(geometry._MIN_PAIRS, geometry._BLOCK_BYTES // (8 * n))
     wins = np.zeros(n, dtype=np.int64)
-    done = 0
-    while done < samples:
-        b = min(8192, samples - done)
-        S = _rng.gaussian_rows(seed, _rng.DOMAIN_ANGLES, done, b, p) @ X.T
-        top = S.max(axis=1)
-        unique = (S == top[:, None]).sum(axis=1) == 1
-        np.add.at(wins, np.argmax(S, axis=1)[unique], 1)
-        done += b
-    return wins[list(ext)] / samples
+    for done in range(0, pairs, block):
+        Z = _rng.gaussian_rows(seed, _rng.DOMAIN_ANGLES, done, min(block, pairs - done), p)
+        S = linear_scores(X, Z.T)
+        for idx in (np.argmax(S, axis=0), np.argmin(S, axis=0)):
+            np.add.at(wins, idx, 1)
+    return wins
+
+
+def rp_solid_angles(X, ext, samples, seed):
+    """omega of the rows ext from ``rp_win_counts``."""
+    return rp_win_counts(X, samples, seed)[list(ext)] / (2 * -(-samples // 2))
 
 
 def embedded(V, p, seed):
@@ -154,19 +164,20 @@ def test_embedded_polygon_matches_exact_angles():
 
 
 def test_directions_are_drawn_in_the_row_space(monkeypatch):
-    widths = []
+    draws = []
     draw = _rng.gaussian_rows
 
     def spy(seed, domain, first_row, n_rows, row_len):
-        widths.append(row_len)
+        draws.append((n_rows, row_len))
         return draw(seed, domain, first_row, n_rows, row_len)
 
     monkeypatch.setattr(_rng, "gaussian_rows", spy)
     inst = gen_uniform_separable(40, 12, 4, seed=5)  # rank 4 in R^12
     for X, r in ((inst.X, 4), (embedded(SQUARE, 50, seed=44), 2), (SQUARE, 2)):
-        widths.clear()
+        draws.clear()
         estimate_solid_angles(X, [0, 1], samples=10_000, seed=45)
-        assert widths == [r, r]
+        assert {width for _, width in draws} == {r}
+        assert sum(rows for rows, _ in draws) == 5_000  # one draw per antithetic pair
 
 
 def test_well_conditioned_tall_input_skips_the_svd(monkeypatch):
@@ -194,17 +205,18 @@ def test_well_conditioned_tall_input_skips_the_svd(monkeypatch):
 
 
 def test_duplicated_vertex_in_row_space_scores_zero():
+    # The first copy of a duplicated vertex wins its ties and keeps its angle.
     angles = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
     V = np.column_stack([np.cos(angles), np.sin(angles)])
     X = embedded(np.vstack([V, V[3]]), 50, seed=46)
     omega, _ = estimate_solid_angles(X, list(range(8)), samples=20_000, seed=47)
-    assert omega[3] == omega[7] == 0.0
-    assert (np.delete(omega, [3, 7]) > 0.1).all()
+    assert omega[7] == 0.0
+    assert (omega[:7] > 0.1).all()
 
 
 def test_degenerate_shapes():
     omega, se = estimate_solid_angles(np.zeros((3, 4)), [0, 1, 2], samples=1_000, seed=48)
-    assert np.array_equal(omega, np.zeros(3)) and np.array_equal(se, np.zeros(3))
+    assert np.array_equal(omega, [1.0, 0.0, 0.0]) and np.array_equal(se, np.zeros(3))
     rng = np.random.default_rng(49)
     for X in (rng.standard_normal((1, 5)), np.zeros((1, 5)), [[0.0], [1.0], [-2.0], [1.0]]):
         X = np.asarray(X)
@@ -227,6 +239,48 @@ def test_extreme_scales_give_unscaled_counts():
             assert np.isfinite(scaled).all()
             omega, _ = estimate_solid_angles(scaled, range(4), samples=20_000, seed=0)
             assert np.array_equal(omega, base)
+
+
+@pytest.mark.parametrize("samples", [20_000, 200_000])
+def test_solid_angle_memory_stays_within_a_fixed_block(samples):
+    # One block of 8,192 draws against 2,000 rows alone would be 131 MB of scores.
+    X = np.random.default_rng(59).standard_normal((2_000, 3))
+    tracemalloc.start()
+    try:
+        omega, _ = estimate_solid_angles(X, range(2_000), samples=samples, seed=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert abs(omega.sum() - 1.0) <= 1e-12
+
+
+@st.composite
+def hostile_rows(draw):
+    """(X, base): rows of a small pool on the 1/8 grid, repeated at random,
+    with a zero row in the pool, n and p down to 1, and X = base * 2^s for
+    s in {0, 1000, -1000} (exact: every entry stays a normal number)."""
+    p = draw(st.integers(1, 4))
+    eighths = st.integers(-8, 8).map(lambda v: v / 8.0)
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 6)), p), elements=eighths))
+    pool = np.vstack([pool, np.zeros(p)])
+    base = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))]
+    return np.ldexp(base, draw(st.sampled_from([0, 1000, -1000]))), base
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_rows(), st.integers(1, 3_001), st.integers(0, 2**32 - 1))
+def test_each_end_of_every_pair_has_exactly_one_winner(case, samples, seed):
+    X, base = case
+    n = X.shape[0]
+    pairs = -(-samples // 2)
+    omega, se = estimate_solid_angles(X, range(n), samples=samples, seed=seed)
+    wins = np.rint(omega * (2 * pairs)).astype(np.int64)
+    assert np.array_equal(wins / (2 * pairs), omega)
+    assert wins.sum() == 2 * pairs
+    assert np.isfinite(se).all() and (se >= 0).all()
+    if not base.any() or _row_space(base) is None:  # the draws stay in R^p
+        assert np.array_equal(wins, rp_win_counts(base, samples, seed))
 
 
 @st.composite
@@ -252,6 +306,8 @@ def tall_spectra(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(tall_spectra())
+# A rank-1 2x2 X whose SVD basis row was 4 eps short of unit length.
+@example(case=(np.array([[0.0, -0.10444146418184275], [0.0, 0.994531035493389]]), 1))
 def test_row_space_cut_keeps_the_rank_within_twice_the_threshold(case):
     X, rank = case
     n, p = X.shape
@@ -282,13 +338,13 @@ def test_rank_deficient_square_input_takes_no_p_by_p_svd(monkeypatch):
 
 def test_exact_ties_in_full_rank_input_match_rp_sampling():
     # Duplicated rows tie whenever they win, and a constant column ties all
-    # rows on every direction; such a direction counts for nobody.
+    # rows on every direction; the lowest tied index takes the direction.
     V = regular_simplex(4).vertices  # full column rank in R^3
     for X in (np.vstack([V, V[1], V[1]]), np.vstack([np.eye(3), np.eye(3)]), np.full((4, 1), 2.0)):
         ext = range(X.shape[0])
         omega, _ = estimate_solid_angles(X, ext, samples=20_000, seed=58)
         assert np.array_equal(omega, rp_solid_angles(X, ext, 20_000, 58))
-    assert omega.sum() == 0.0
+    assert omega.sum() == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +534,22 @@ def test_required_m_segment_special_case():
     assert required_m([0.5, 0.5], 2, 0.1) == 1
 
 
+def test_kappa_is_zero_once_an_angle_reaches_one_half():
+    # A one-point hull (omega = 1) or a segment is found by one functional.
+    for omega in ([1.0], [0.5, 0.5], [0.6, 0.4], [1.0, 0.25]):
+        assert condition_kappa(omega) == (0.0, 0.0)
+        assert required_m(omega, len(omega), 0.01) == 1
+    assert condition_kappa([0.4999, 0.5001])[0] == 0.0
+    assert condition_kappa([0.49, 0.49])[0] > 0.0
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+        condition_kappa([1.0 + 2**-52])
+
+
 def test_required_m_errors():
     with pytest.raises(ValueError):
         required_m([0.0, 0.5], 2, 0.05)
     with pytest.raises(ValueError):
-        required_m([0.6], 1, 0.05)
+        required_m([1.5], 1, 0.05)
     with pytest.raises(ValueError):
         required_m([0.25], 1, 1.5)
 
