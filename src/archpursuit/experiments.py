@@ -9,7 +9,9 @@ Trial threads run instance generation and pursuit in parallel: both spend
 their time in large numpy calls that release the GIL.  The selection and
 NNLS solvers of a noise trial are Python loops of small numpy calls, and two
 of them in parallel pass the GIL back and forth on every call, so a noise cell
-runs that phase one trial at a time (see ``noise_cell``).
+runs that phase one trial at a time under a lock (see ``noise_cell``).  The
+lock has no other job: selection runs a selector only when it has more found
+rows than it keeps, so nothing here warns or touches the warnings filters.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -34,7 +35,8 @@ from .glasso import (
     select_by_persistence,
     solve_path,
 )
-from .matrix_io import gen_hilbert_separable, gen_noisy_pairs, gen_uniform_separable, require_matrix
+from .matrix_io import _checked_indices, gen_hilbert_separable, gen_noisy_pairs
+from .matrix_io import gen_uniform_separable, require_matrix
 from .nnls import nnls_fit
 
 GENERATORS = {
@@ -43,8 +45,8 @@ GENERATORS = {
 }
 
 
-def max_threads(default: int = 2) -> int:
-    """Trial-level parallelism, capped by ARCHPURSUIT_THREADS.
+def max_threads() -> int:
+    """Trial-level parallelism: 2 threads, capped by ARCHPURSUIT_THREADS.
 
     The threads run each trial's instance generation and pursuit in
     parallel; a noise trial's selection and NNLS fit run one at a time.  On a
@@ -60,7 +62,7 @@ def max_threads(default: int = 2) -> int:
             limit = max(1, int(cap))
         except ValueError:
             raise ValueError(f"ARCHPURSUIT_THREADS must be an integer, got {cap!r}")
-    return max(1, min(default, limit))
+    return max(1, min(2, limit))
 
 
 def _run_trials(fn, n_trials: int, threads: int):
@@ -69,6 +71,36 @@ def _run_trials(fn, n_trials: int, threads: int):
         return [fn(t) for t in range(n_trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n_trials)))
+
+
+def _trial_seeds(seed: int, trial: int) -> tuple[int, int]:
+    """Instance and pursuit seeds of a trial: children 2t and 2t+1 of seed in
+    DOMAIN_TRIALS.  Seeded results depend on this rule."""
+    return tuple(_rng.child_seed(seed, _rng.DOMAIN_TRIALS, 2 * trial + j) for j in (0, 1))
+
+
+def _select(X, es, k, selector, grid_points, tol, max_iter_per_lambda, keep_path):
+    """The k rows that ``selector`` keeps of pursuit's finds, sorted, and the
+    glasso path (grid_points penalties) or None.
+
+    With no more than k found rows every one is kept and no selector runs;
+    the path is then solved only if keep_path asks for it.
+    """
+    found = list(es.indices)
+    path = None
+    if selector == "glasso" and (keep_path or len(found) > k):
+        lam_hi = lambda_max(X, X[found])
+        # lam_hi is 0 only when every found row is zero, and then there is no
+        # path to solve; with no more found rows than k none is needed.
+        if lam_hi > 0 or len(found) > k:
+            prob = GroupLassoProblem(X, X[found], default_lambda_grid(lam_hi, grid_points))
+            path = solve_path(prob, tol, max_iter_per_lambda)
+    if len(found) > k:
+        if selector == "vote":
+            found = select_top_voted(es, k)
+        else:
+            found = [found[g] for g in select_by_persistence(path, k)]
+    return sorted(found), path
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +144,7 @@ def recovery_fraction(
     truth = frozenset(range(k))
 
     def one(trial: int) -> bool:
-        inst_seed = _rng.child_seed(seed, _rng.DOMAIN_TRIALS, 2 * trial)
-        run_seed = _rng.child_seed(seed, _rng.DOMAIN_TRIALS, 2 * trial + 1)
+        inst_seed, run_seed = _trial_seeds(seed, trial)
         inst = gen(n, p, k, inst_seed)
         es = pursue(inst.X, PursuitConfig(m=m, seed=run_seed))
         return frozenset(es.indices) == truth
@@ -152,13 +183,6 @@ def _fit_residual_per_row(X: np.ndarray, rows: list[int]) -> float:
     return float(np.linalg.norm(X - sol.W @ X[rows])) / X.shape[0]
 
 
-def _quietly(select, *args) -> list[int]:
-    """select(*args) with its fewer-than-k RuntimeWarning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return select(*args)
-
-
 def noise_cell(
     k: int,
     p: int,
@@ -180,27 +204,16 @@ def noise_cell(
         raise ValueError(f"unknown selector {selector!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # Selection and the fit run one trial at a time (see the module
-    # docstring).  The lock also keeps _quietly's process-wide warnings filter
-    # to one thread, which two overlapping catch_warnings would leak.
+    # Selection and the fit run one trial at a time (see the module docstring).
     solver = threading.Lock()
 
     def one(trial: int) -> float:
-        inst_seed = _rng.child_seed(seed, _rng.DOMAIN_TRIALS, 2 * trial)
-        run_seed = _rng.child_seed(seed, _rng.DOMAIN_TRIALS, 2 * trial + 1)
+        inst_seed, run_seed = _trial_seeds(seed, trial)
         X = gen_noisy_pairs(p, k, epsilon, inst_seed)
         es = pursue(X, PursuitConfig(m=m, seed=run_seed))
-        chosen = list(es.indices)
         with solver:
-            if selector == "vote":
-                chosen = _quietly(select_top_voted, es, select_k)
-            elif len(chosen) > select_k:
-                lam_hi = lambda_max(X, X[chosen])
-                grid = default_lambda_grid(lam_hi, num=grid_points)
-                prob = GroupLassoProblem(X, X[chosen], grid)
-                path = solve_path(prob, tol=1e-7, max_iter_per_lambda=1000)
-                chosen = [chosen[g] for g in _quietly(select_by_persistence, path, select_k)]
-            return _fit_residual_per_row(X, sorted(chosen))
+            rows, _ = _select(X, es, select_k, selector, grid_points, 1e-7, 1000, keep_path=False)
+            return _fit_residual_per_row(X, rows)
 
     vals = _run_trials(one, trials, max_threads())
     return float(np.mean(vals))
@@ -273,11 +286,9 @@ def classify_rows(X, archetype_indices) -> np.ndarray:
     Ties go to the lowest archetype row index.
     """
     X = require_matrix(X, "X")
-    arch = np.unique(np.asarray(archetype_indices, dtype=np.int64))
+    arch = np.asarray(sorted(_checked_indices(archetype_indices, X.shape[0])), dtype=np.int64)
     if arch.size == 0:
         raise ValueError("archetype_indices must be nonempty")
-    if arch.min() < 0 or arch.max() >= X.shape[0]:
-        raise ValueError("archetype index out of range")
     A = X[arch]
     # Squared distances via expansion; ascending archetype order makes the
     # argmin's first-occurrence rule the lowest-index tie-break.
@@ -327,37 +338,23 @@ def factorize(
     Selection is by vote count (k=None keeps every found index) or by
     group-lasso persistence (k required).
     """
+    if select not in ("vote", "glasso"):
+        raise ValueError(f"unknown selector {select!r}")
+    if select == "glasso" and k is None:
+        raise ValueError("glasso selection requires k")
     X = require_matrix(X, "X")
     t0 = time.perf_counter()
     trace = ExecutionTrace()
     part = Partition.contiguous(X.shape[0], workers)
     cfg = PursuitConfig(m=m, seed=seed, patience=1 if adaptive else None, normalize_rows=normalize)
     es = run_distributed(X, part, cfg, trace)
-    path = None
-    cand = ()
-    if select == "vote":
-        chosen = sorted(es.indices) if k is None else sorted(_quietly(select_top_voted, es, k))
-    elif select == "glasso":
-        if k is None:
-            raise ValueError("glasso selection requires k")
-        cand = tuple(es.indices)
-        lam_hi = lambda_max(X, X[list(cand)])
-        # lam_hi is 0 only when every candidate row is zero, and then there is
-        # no path to solve; with no more candidates than k none is needed.
-        if lam_hi > 0 or len(cand) > k:
-            prob = GroupLassoProblem(X, X[list(cand)], default_lambda_grid(lam_hi))
-            path = solve_path(prob)
-        if len(cand) <= k:
-            chosen = sorted(cand)
-        else:
-            chosen = sorted(cand[g] for g in _quietly(select_by_persistence, path, k))
-    else:
-        raise ValueError(f"unknown selector {select!r}")
+    kept = len(es.indices) if k is None else k
+    chosen, path = _select(X, es, kept, select, 50, 1e-9, 5000, keep_path=True)
     W = distributed_weights(X, part, chosen, trace=trace)
     norm_x = float(np.linalg.norm(X))
     rel = float(np.linalg.norm(X - W @ X[chosen])) / (norm_x if norm_x > 0 else 1.0)
     return FactorizeResult(
-        indices=list(chosen),
+        indices=chosen,
         W=W,
         relative_residual=rel,
         passes=trace.passes,
@@ -365,5 +362,5 @@ def factorize(
         m_used=sum(es.votes.values()) // 2,
         trace=trace,
         lasso_path=path,
-        candidates=cand,
+        candidates=es.indices if select == "glasso" else (),
     )

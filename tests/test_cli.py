@@ -231,6 +231,15 @@ def test_classify_cli(tmp_path, instance_csv):
     assert rows[0, 1] == 0.0 and rows[3, 1] == 3.0
 
 
+def test_classify_rejects_a_repeated_archetype(tmp_path, instance_csv, capsys):
+    path, _ = instance_csv
+    out = tmp_path / "labels.csv"
+    rc = main(["classify", "--input", str(path), "--archetypes", "0,0,1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: row index 0 is repeated"]
+    assert not out.exists()
+
+
 def test_diagnose_cli(tmp_path, instance_csv):
     path, _ = instance_csv
     prefix = tmp_path / "diag"

@@ -1,5 +1,6 @@
 """Experiment harnesses: sweep cells, noise cells, scree, classify, factorize."""
 
+import os
 import sys
 import time
 import warnings
@@ -20,6 +21,7 @@ from archpursuit import (
 )
 from archpursuit import experiments
 from archpursuit.experiments import noise_cell, recovery_fraction
+from archpursuit.extreme_points import PursuitConfig, pursue
 
 
 def test_recovery_fraction_easy_cell():
@@ -162,6 +164,7 @@ def test_classify_tie_breaks_to_lowest_index():
     X = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
     labels = classify_rows(X, [0, 1])
     assert labels[2] == 0  # row 2 is exactly distance 1 from both archetypes
+    assert (classify_rows(X, [1, 0]) == labels).all()
 
 
 def test_classify_mass_concentration():
@@ -183,6 +186,8 @@ def test_classify_validation():
         classify_rows(np.eye(3), [])
     with pytest.raises(ValueError):
         classify_rows(np.eye(3), [5])
+    with pytest.raises(ValueError, match="row index 1 is repeated"):
+        classify_rows(np.eye(3), [2, 1, 1])
 
 
 def test_factorize_vote_pipeline():
@@ -226,12 +231,14 @@ def test_threads_env_cap(monkeypatch):
     from archpursuit.experiments import max_threads
 
     monkeypatch.setenv("ARCHPURSUIT_THREADS", "1")
-    assert max_threads(default=8) == 1
+    assert max_threads() == 1
+    monkeypatch.setenv("ARCHPURSUIT_THREADS", "8")
+    assert max_threads() == min(2, os.cpu_count() or 1)
     monkeypatch.setenv("ARCHPURSUIT_THREADS", "bogus")
     with pytest.raises(ValueError):
         max_threads()
     monkeypatch.delenv("ARCHPURSUIT_THREADS")
-    assert max_threads(default=1) == 1
+    assert max_threads() == min(2, os.cpu_count() or 1)
 
 
 def test_results_independent_of_thread_cap(monkeypatch):
@@ -276,9 +283,8 @@ def test_noise_cell_solvers_run_one_trial_at_a_time(monkeypatch):
 
 
 def test_threaded_noise_cells_leave_warnings_filters_alone(monkeypatch):
-    # _quietly installs a filter through process-wide state; two trial
-    # threads inside it at once can restore each other's copy and leave an
-    # "ignore RuntimeWarning" filter behind for good.  The outer
+    # The warnings filters are process-wide state: a filter set and restored
+    # by two trial threads at once can be left behind for good.  The outer
     # catch_warnings only keeps a failure from leaking into later tests.
     monkeypatch.setenv("ARCHPURSUIT_THREADS", "2")
     interval = sys.getswitchinterval()
@@ -294,6 +300,43 @@ def test_threaded_noise_cells_leave_warnings_filters_alone(monkeypatch):
                 assert warnings.filters == before
         finally:
             sys.setswitchinterval(interval)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("select", ["vote", "glasso"])
+def test_factorize_keeps_every_row_without_warning_when_k_exceeds_the_finds(select):
+    X = gen_noisy_pairs(40, 6, 0.01, 5)
+    found = factorize(X, m=60, seed=2, select="vote").indices
+    res = factorize(X, m=60, seed=2, select=select, k=len(found) + 5)
+    assert res.indices == found
+    if select == "glasso":
+        assert res.lasso_path is not None
+        assert res.candidates == tuple(found)
+        assert res.lasso_path.group_norms.shape == (50, len(found))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("selector", ["vote", "glasso"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_noise_cell_keeps_every_row_without_warning_when_select_k_covers_the_finds(
+    monkeypatch, selector, epsilon
+):
+    fitted = []
+
+    def fit(X, rows):
+        fitted.append((X.tobytes(), rows))
+        return 0.0
+
+    monkeypatch.setattr(experiments, "_fit_residual_per_row", fit)
+    expected = []
+    for t in range(3):
+        inst_seed, run_seed = experiments._trial_seeds(4, t)
+        X = gen_noisy_pairs(40, 5, epsilon, inst_seed)
+        found = list(pursue(X, PursuitConfig(m=30, seed=run_seed)).indices)
+        expected.append((X.tobytes(), found))
+    select_k = max(len(rows) for _, rows in expected)
+    noise_cell(5, 40, 30, epsilon, 3, seed=4, select_k=select_k, selector=selector)
+    assert sorted(fitted) == sorted(expected)
 
 
 def test_sweep_recovery_monotone_in_multiplier():
