@@ -15,9 +15,8 @@ of ``ExecutionTrace``.
 
 Pursuit takes one pass over the data per round: one for a fixed budget of
 functionals, r for an adaptive run of r rounds.  The NNLS weight fit takes
-one more (it decomposes over rows, so each worker fits its local rows
-independently).  A worker whose fit stops short of the KKT tolerance emits
-a RuntimeWarning.
+one more; the simulation solves all its rows at once, so W depends on X
+and H alone (see ``distributed_weights``).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .extreme_points import (
     _pursue_shards,
 )
 from .matrix_io import _checked_indices, require_matrix
-from .nnls import nnls_fit
+from .nnls import NnlsSolution, nnls_fit
 
 # Per functional, a worker sends one (value, index) pair for the max and one
 # for the min: 2 float64 + 2 int64.
@@ -131,19 +130,18 @@ def distributed_weights(
     tol: float = 1e-8,
     max_iter: int = 5000,
     trace: ExecutionTrace | None = None,
-) -> np.ndarray:
-    """Fit the weights W for archetypes H = X[H_rows], one NNLS per worker.
+) -> NnlsSolution:
+    """Fit the weights W for archetypes H = X[H_rows]: the second pass.
 
-    The NNLS objective is separable across the rows of W, so each worker
-    solves its local rows against the shared k x p archetype block; the
-    concatenated result solves the same problem as the serial fit, row for
-    row, to the KKT tolerance.  It is not bit-identical to it: ``nnls_fit``
-    solves the rows that share a passive set together, so a row's rounding
-    depends on which other rows its worker holds.  Counts as the second pass
-    over the data.  A worker whose fit ends above the KKT
-    tolerance ``tol`` (it hit ``max_iter``) emits a RuntimeWarning naming the
-    worker, its KKT residual and ``max_iter``; W is still returned.  An empty
-    H_rows, or a negative, out-of-range or repeated index, raises ValueError.
+    The simulation solves every row in one ``nnls_fit`` call, so W depends on
+    X and H alone: the same bits on any partition.  Returns that call's
+    ``NnlsSolution``, whose ``residual`` a caller reads instead of forming
+    X - W H again.  The pass records 0 bytes sent, so ``bytes_sent`` stays
+    pursuit's alone; the n * k * 8 bytes of X H^T are not counted yet.  A fit
+    that ends above the KKT tolerance ``tol`` (it hit ``max_iter``) emits one
+    RuntimeWarning with its KKT residual and ``max_iter``; W is still
+    returned.  An empty H_rows, or a negative, out-of-range or repeated
+    index, raises ValueError.
     """
     X = require_matrix(X, "X")
     H_rows = _checked_indices(H_rows, X.shape[0])
@@ -153,23 +151,14 @@ def distributed_weights(
         raise ValueError(
             f"partition covers {part.n_rows} rows but X has {X.shape[0]}"
         )
-    H = X[H_rows]
-    W = np.zeros((X.shape[0], len(H_rows)))
-    for d, rows in enumerate(part.assignment):
-        if rows.size == 0:
-            continue
-        try:
-            sol = nnls_fit(X[rows], H, tol=tol, max_iter=max_iter)
-        except ValueError as exc:
-            raise ValueError(f"worker {d}: {exc}") from exc
-        if not sol.converged:
-            warnings.warn(
-                f"worker {d}: NNLS stopped at KKT {sol.kkt:.3g} > tol={tol:g} "
-                f"after max_iter={max_iter} iterations",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        W[rows] = sol.W
+    sol = nnls_fit(X, X[H_rows], tol=tol, max_iter=max_iter)
+    if not sol.converged:
+        warnings.warn(
+            f"NNLS stopped at KKT {sol.kkt:.3g} > tol={tol:g} "
+            f"after max_iter={max_iter} iterations",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     if trace is not None:
         trace.record_pass(part, 0)
-    return W
+    return sol

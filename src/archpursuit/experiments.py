@@ -179,8 +179,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 def _fit_residual_per_row(X: np.ndarray, rows: list[int]) -> float:
     """||X - W X[rows]||_F / n after an NNLS fit against the selected rows."""
-    sol = nnls_fit(X, X[rows], tol=1e-6, max_iter=2000)
-    return float(np.linalg.norm(X - sol.W @ X[rows])) / X.shape[0]
+    return nnls_fit(X, X[rows], tol=1e-6, max_iter=2000).residual / X.shape[0]
 
 
 def noise_cell(
@@ -350,13 +349,11 @@ def factorize(
     es = run_distributed(X, part, cfg, trace)
     kept = len(es.indices) if k is None else k
     chosen, path = _select(X, es, kept, select, 50, 1e-9, 5000, keep_path=True)
-    W = distributed_weights(X, part, chosen, trace=trace)
-    norm_x = float(np.linalg.norm(X))
-    rel = float(np.linalg.norm(X - W @ X[chosen])) / (norm_x if norm_x > 0 else 1.0)
+    fit = distributed_weights(X, part, chosen, trace=trace)
     return FactorizeResult(
         indices=chosen,
-        W=W,
-        relative_residual=rel,
+        W=fit.W,
+        relative_residual=fit.relative_residual,
         passes=trace.passes,
         elapsed_seconds=time.perf_counter() - t0,
         m_used=sum(es.votes.values()) // 2,

@@ -27,9 +27,11 @@ from .matrix_io import require_matrix
 
 @dataclass(frozen=True)
 class NnlsSolution:
-    """W >= 0 entrywise; relative_residual = ||X - W H||_F / ||X||_F."""
+    """W >= 0 entrywise; residual = ||X - W H||_F and relative_residual =
+    residual / ||X||_F (residual itself when X = 0)."""
 
     W: np.ndarray
+    residual: float
     relative_residual: float
     iterations: int
     converged: bool
@@ -109,8 +111,9 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
     single-exchange rule, cannot cycle when k > p.  A row stops once nothing
     is infeasible or the Gram-form KKT of max(x, 0) is <= tol, so rounding
     noise cannot keep it flipping.  W = max(x, 0); ``iterations`` counts
-    rounds, Lawson-Hanson ones included; ``kkt`` is the residual-form
-    :func:`kkt_residual`.
+    rounds, Lawson-Hanson ones included; ``residual`` is ||X - W H||_F,
+    formed once here so that callers need not form X - W H again, and
+    ``kkt`` is the residual-form :func:`kkt_residual` of the same product.
     """
     X = require_matrix(X, "X")
     H = require_matrix(H, "H")
@@ -172,7 +175,7 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
 
     W = np.maximum(x, 0.0)
     R = W @ H - X
-    norm_x = float(np.linalg.norm(X))
-    rel = float(np.linalg.norm(R)) / (norm_x if norm_x > 0 else 1.0)
+    res, norm_x = float(np.linalg.norm(R)), float(np.linalg.norm(X))
+    rel = res / (norm_x if norm_x > 0 else 1.0)
     kkt = float(np.abs(np.minimum(W, R @ H.T)).max())
-    return NnlsSolution(W, rel, max(iterations, finished_at), bool(kkt <= tol), kkt)
+    return NnlsSolution(W, res, rel, max(iterations, finished_at), bool(kkt <= tol), kkt)

@@ -101,7 +101,7 @@ def test_factorize_workers_identical_output(tmp_path, instance_csv):
             ]
         )
         assert rc == 0
-        outs.append((out / "indices.csv").read_bytes())
+        outs.append([(out / name).read_bytes() for name in ("indices.csv", "W.csv")])
     assert outs[0] == outs[1]
 
 

@@ -159,8 +159,8 @@ def test_distributed_weights_equals_serial():
     serial = nnls_fit(inst.X, inst.X[h_rows], tol=1e-10).W
     for workers in (1, 3, 4):
         part = Partition.contiguous(36, workers)
-        W = distributed_weights(inst.X, part, h_rows, tol=1e-10)
-        assert np.abs(W - serial).max() <= 1e-10
+        W = distributed_weights(inst.X, part, h_rows, tol=1e-10).W
+        assert W.tobytes() == serial.tobytes()
     rel = np.linalg.norm(inst.X - serial @ inst.X[h_rows]) / np.linalg.norm(inst.X)
     assert rel <= 1e-6
 
@@ -171,9 +171,46 @@ def test_distributed_weights_row_ownership():
     h_rows = [0, 1, 2, 3]
     part = Partition.contiguous(24, 4)
     serial = nnls_fit(inst.X, inst.X[h_rows], tol=1e-10).W
-    W = distributed_weights(inst.X, part, h_rows, tol=1e-10)
+    W = distributed_weights(inst.X, part, h_rows, tol=1e-10).W
     owned = part.assignment[3]
-    assert np.abs(W[owned] - serial[owned]).max() <= 1e-10
+    assert W[owned].tobytes() == serial[owned].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_distributed_weights_do_not_depend_on_the_partition(data):
+    # Small integer X with duplicate and zero rows; k may exceed p, so H H^T
+    # can be singular.  Every partition, empty workers included, must give
+    # the bits of one fit over all rows.
+    p = data.draw(st.integers(1, 4))
+    base = data.draw(arrays(np.float64, (data.draw(st.integers(1, 6)), p),
+                            elements=st.integers(-3, 3).map(float)))
+    picks = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=12))
+    X = np.vstack([base[picks], np.zeros((data.draw(st.integers(0, 2)), p))])
+    n = X.shape[0]
+    h_rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = nnls_fit(X, X[h_rows])
+        for _ in range(3):
+            workers = data.draw(st.integers(1, 5))
+            labels = data.draw(arrays(np.int64, n, elements=st.integers(0, workers - 1)))
+            part = Partition(n, tuple(np.flatnonzero(labels == d) for d in range(workers)))
+            sol = distributed_weights(X, part, h_rows)
+            assert sol.W.tobytes() == ref.W.tobytes()
+    assert sol.residual == np.linalg.norm(X - sol.W @ X[h_rows])
+    norm_x = np.linalg.norm(X)
+    assert sol.relative_residual == sol.residual / (norm_x if norm_x > 0 else 1.0)
+
+
+def test_distributed_weights_warn_once_about_a_zero_row_of_h():
+    X = gen_uniform_separable(40, 10, 4, seed=2).X.copy()
+    X[5] = 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        distributed_weights(X, Partition.contiguous(40, 4), [0, 1, 2, 3, 5])
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1 and messages[0].startswith("H has zero rows [4]"), messages
 
 
 def test_distributed_weights_validation():
@@ -220,8 +257,8 @@ def test_trace_counts_rescored_rows():
 def test_distributed_weights_warns_when_nnls_stops_short():
     inst = gen_uniform_separable(500, 100, 20, seed=0)
     part = Partition.contiguous(500, 4)
-    with pytest.warns(RuntimeWarning, match=r"worker \d: NNLS stopped at KKT .*max_iter=0"):
-        W = distributed_weights(inst.X, part, range(20), max_iter=0)
+    with pytest.warns(RuntimeWarning, match=r"^NNLS stopped at KKT .*max_iter=0"):
+        W = distributed_weights(inst.X, part, range(20), max_iter=0).W
     assert W.shape == (500, 20)
 
 
@@ -234,7 +271,7 @@ def test_distributed_weights_warns_on_a_positive_cap(seed):
     assert full.converged and full.iterations > 2
     capped = nnls_fit(X, X[rows], max_iter=2)
     assert not capped.converged and capped.iterations == 2
-    with pytest.warns(RuntimeWarning, match=r"worker 0: NNLS stopped at KKT .*max_iter=2 "):
+    with pytest.warns(RuntimeWarning, match=r"^NNLS stopped at KKT .*max_iter=2 "):
         distributed_weights(X, Partition.contiguous(X.shape[0], 1), rows, max_iter=2)
 
 
