@@ -98,6 +98,14 @@ class ExecutionTrace:
             self.bytes_sent[d] = self.bytes_sent.get(d, 0) + bytes_per_worker
 
 
+def _local_rows(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A worker's rows of X: a view when its sorted rows form one range (as in
+    every ``Partition.contiguous``), else a copy."""
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        return X[rows[0] : rows[-1] + 1]
+    return X[rows]
+
+
 def run_distributed(
     X, part: Partition, cfg: PursuitConfig, trace: ExecutionTrace | None = None
 ) -> ExtremeSet:
@@ -114,7 +122,7 @@ def run_distributed(
             f"partition covers {part.n_rows} rows but X has {X.shape[0]}"
         )
     rescored = [0] * part.n_workers
-    es = _pursue_shards([(X[rows], rows) for rows in part.assignment], cfg, rescored)
+    es = _pursue_shards([(_local_rows(X, rows), rows) for rows in part.assignment], cfg, rescored)
     if trace is not None:
         for _ in range(sum(es.votes.values()) // (2 * cfg.m)):
             trace.record_pass(part, cfg.m * BYTES_PER_FUNCTIONAL)

@@ -20,6 +20,12 @@ nothing new, each scored by the one kernel ``_tally_block``, which finds
 each row shard's (worker's) optima and merges them.  ``pursue`` is the
 one-shard case and ``distributed.run_distributed`` gives one shard per
 worker, so they agree by construction, votes included.
+
+Blocks are sized by bytes, not by count: a round of m functionals is split
+into the fewest blocks of equal width whose draws (p x width float64) fit
+``_BLOCK_BYTES`` = 2 MiB, from 64 to 512 functionals wide (64 above
+p = 4,096).  The solid angles bound their scores by the same budget.  The
+rule depends on p and m alone, so every partition scores the same blocks.
 """
 
 from __future__ import annotations
@@ -34,9 +40,14 @@ import numpy as np
 from . import _rng
 from .matrix_io import require_matrix
 
-# Functionals are generated and scored in column blocks of this size so G is
-# never fully materialized for large m.
-_FUNCTIONAL_BLOCK = 512
+# The kernel's block budget, shared with the solid angles: a block holds at
+# most _BLOCK_BYTES of draws (pursuit) or of scores (solid angles), but no
+# fewer than _MIN_BLOCK functionals or pairs, as narrower blocks cost 1.5-7x
+# more per score in the column reductions of ``block_optima``.  Pursuit
+# blocks are at most _MAX_BLOCK wide (see ``_block_width``).
+_BLOCK_BYTES = 2**21
+_MIN_BLOCK = 64
+_MAX_BLOCK = 512
 
 # Unit roundoff of float64, its smallest subnormal (one rounding in the
 # subnormal range errs by at most half of it), and the score magnitude from
@@ -126,7 +137,12 @@ class BlockOptima(NamedTuple):
     rescored: int
 
 
-def _candidate_rows(X: np.ndarray, G: np.ndarray) -> np.ndarray | None:
+def _row_bound(X: np.ndarray) -> float:
+    """sqrt(max_i |x_i|^2 + 2p*eta), computed: the rho of ``_candidate_rows``."""
+    return math.sqrt(float(np.einsum("ij,ij->i", X, X).max()) + X.shape[1] * _TINY)
+
+
+def _candidate_rows(X: np.ndarray, G: np.ndarray, rho: float) -> np.ndarray | None:
     """Rows that may attain a column's per-row max or min, from one gemm.
 
     Returns None when the block must be scored on the per-row path alone.
@@ -170,6 +186,9 @@ def _candidate_rows(X: np.ndarray, G: np.ndarray) -> np.ndarray | None:
     either path stays below 2^1023 in magnitude.  Otherwise, or if any gemm
     score is non-finite, the whole block is scored per row, which keeps the
     result unchanged near overflow.
+
+    ``rho`` is ``_row_bound(X)``, sqrt(q_X + 2p*eta); it depends on X alone,
+    so pursuit takes it once per shard rather than once per block.
     """
     p = X.shape[1]
     S = X @ G
@@ -177,9 +196,7 @@ def _candidate_rows(X: np.ndarray, G: np.ndarray) -> np.ndarray | None:
     bottom = S.min(axis=0)
     if not (np.isfinite(top).all() and np.isfinite(bottom).all()):
         return None
-    floor = p * _TINY  # 2p*eta
-    rho = math.sqrt(float(np.einsum("ij,ij->i", X, X).max()) + floor)
-    g_norms = np.sqrt(np.einsum("ij,ij->j", G, G) + floor)
+    g_norms = np.sqrt(np.einsum("ij,ij->j", G, G) + p * _TINY)  # + 2p*eta
     if rho * g_norms.max() >= _SCORE_LIMIT:
         return None
     nu = (2 * p + 16) * _U
@@ -197,7 +214,12 @@ def block_optima(X: np.ndarray, G: np.ndarray) -> BlockOptima:
     computed with one gemm plus a per-row re-score of the candidate rows
     (see ``_candidate_rows``).  X must have at least one row.
     """
-    rows = _candidate_rows(X, G)
+    return _block_optima(X, G, _row_bound(X))
+
+
+def _block_optima(X: np.ndarray, G: np.ndarray, rho: float) -> BlockOptima:
+    """``block_optima`` with the row bound rho = ``_row_bound(X)`` given."""
+    rows = _candidate_rows(X, G, rho)
     if rows is None or rows.size == X.shape[0]:
         rows = np.arange(X.shape[0])
         R = linear_scores(X, G)
@@ -244,45 +266,60 @@ def _prepared_rows(X, cfg: PursuitConfig) -> np.ndarray:
     return X
 
 
-def _tally_block(shards, seed: int, first: int, count: int, counts: np.ndarray, rescored):
+def _tally_block(live, seed: int, first: int, count: int, counts: np.ndarray, rescored):
     """Score functionals [first, first+count) on every shard and add the votes.
 
-    ``shards`` holds one (local rows of X, their sorted global indices) pair
-    per worker.  G is generated once, ``block_optima`` finds each nonempty
-    shard's optima, and the merge keeps per functional the highest max and
-    the lowest min, the lowest global row index on exact ties.  Every value
-    is a per-row score, so the votes do not depend on the partition.
-    ``rescored[d]`` accumulates the rows shard d re-scored per row.
+    ``live`` holds one (d, local rows of X, their sorted global indices,
+    ``_row_bound`` of the local rows) tuple per nonempty shard d.  G is
+    generated once, ``block_optima`` finds each shard's optima, and the merge
+    keeps per functional the highest max and the lowest min, the lowest
+    global row index on exact ties.  Every value is a per-row score, so the
+    votes do not depend on the partition.  ``rescored[d]`` accumulates the
+    rows shard d re-scored per row.
     """
-    G = _rng.functionals(seed, first, count, shards[0][0].shape[1])
+    G = _rng.functionals(seed, first, count, live[0][1].shape[1])
     values, winners = [], []
-    for d, (X_local, rows) in enumerate(shards):
-        if rows.size:
-            best = block_optima(X_local, G)
-            rescored[d] += best.rescored
-            # The min side is the max of the negated scores; negation is exact.
-            values.append((best.max_val, -best.min_val))
-            winners.append((rows[best.max_idx], rows[best.min_idx]))
+    for d, X_local, rows, rho in live:
+        best = _block_optima(X_local, G, rho)
+        rescored[d] += best.rescored
+        # The min side is the max of the negated scores; negation is exact.
+        values.append((best.max_val, -best.min_val))
+        winners.append((rows[best.max_idx], rows[best.min_idx]))
     values, winners = np.array(values), np.array(winners)
     tied = values == values.max(axis=0)
     np.add.at(counts, np.where(tied, winners, counts.size).min(axis=0).ravel(), 1)
 
 
+def _block_width(p: int, m: int) -> int:
+    """Width of the blocks that a round of m functionals in R^p is split into.
+
+    The fewest blocks of equal width (the last one may be shorter) whose
+    draws fit _BLOCK_BYTES, or _MIN_BLOCK functionals when p > 4,096, and
+    none wider than _MAX_BLOCK.
+    """
+    cap = max(_MIN_BLOCK, min(_MAX_BLOCK, _BLOCK_BYTES // (8 * p)))
+    return -(-m // -(-m // cap))
+
+
 def _pursue_shards(shards, cfg: PursuitConfig, rescored) -> ExtremeSet:
     """Rounds of cfg.m functionals over the row shards, as cfg.patience asks.
 
-    Round r scores functionals [r*m, (r+1)*m) with ``_tally_block``, block by
-    block.  Votes from every round, the stopping rounds included, are
-    tallied, so a run of r rounds equals one round of r*m functionals and r
-    is sum(votes) / (2m).
+    ``shards`` holds one (local rows of X, their sorted global indices) pair
+    per worker.  Round r scores functionals [r*m, (r+1)*m) with
+    ``_tally_block``, in blocks of ``_block_width(p, m)``, which never depends
+    on the partition.  Each shard's row bound is taken once.  Votes from
+    every round, the stopping rounds included, are tallied, so a run of r
+    rounds equals one round of r*m functionals and r is sum(votes) / (2m).
     """
     counts = np.zeros(sum(rows.size for _, rows in shards), dtype=np.int64)
+    live = [(d, X, rows, _row_bound(X)) for d, (X, rows) in enumerate(shards) if rows.size]
+    width = _block_width(live[0][1].shape[1], cfg.m)
     first, idle = 0, 0
     while True:
         before = np.count_nonzero(counts)
-        for start in range(first, first + cfg.m, _FUNCTIONAL_BLOCK):
-            count = min(_FUNCTIONAL_BLOCK, first + cfg.m - start)
-            _tally_block(shards, cfg.seed, start, count, counts, rescored)
+        for start in range(first, first + cfg.m, width):
+            count = min(width, first + cfg.m - start)
+            _tally_block(live, cfg.seed, start, count, counts, rescored)
         first += cfg.m
         if cfg.patience is None:
             break

@@ -28,15 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .extreme_points import block_optima
+from .extreme_points import _BLOCK_BYTES, _MIN_BLOCK, block_optima
 from .matrix_io import _checked_indices, require_matrix
 from .nnls import nnls_fit
 
-# Bytes of scores (solid angles) or draws (cap areas) per Monte Carlo block;
-# a solid-angle block keeps _MIN_PAIRS pairs, as narrower ones cost 1.5-7x
-# more per score in the column reductions of ``block_optima``.
-_BLOCK_BYTES = 2**21
-_MIN_PAIRS = 64
+# Monte Carlo blocks share the pursuit kernel's budget (``_BLOCK_BYTES`` and
+# ``_MIN_BLOCK`` of ``extreme_points``): a solid-angle block holds at most
+# that many bytes of scores, but never fewer than _MIN_BLOCK pairs, and a
+# cap-area block at most that many bytes of draws.
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +58,7 @@ def estimate_solid_angles(
     aligned with ext_indices; a row that is not extreme estimates to zero.
     A negative, out-of-range or repeated index raises ValueError.
 
-    A block scores b = max(_MIN_PAIRS, _BLOCK_BYTES // 8n) pairs, rows
+    A block scores b = max(_MIN_BLOCK, _BLOCK_BYTES // 8n) pairs, rows
     [done, done + b) of the ``DOMAIN_ANGLES`` stream: at most 2 MiB of scores
     up to n = 4,096 rows and 512 bytes per row beyond, whatever ``samples``.
 
@@ -92,7 +91,7 @@ def estimate_solid_angles(
     Y = X if Vr is None else X @ Vr.T
     r = Y.shape[1]
     pairs = -(-samples // 2)
-    block = max(_MIN_PAIRS, _BLOCK_BYTES // (8 * n))
+    block = max(_MIN_BLOCK, _BLOCK_BYTES // (8 * n))
     wins = np.zeros(n, dtype=np.int64)
     both = np.zeros(n, dtype=np.int64)  # pairs won at both ends (all rows tie)
     for done in range(0, pairs, block):

@@ -145,16 +145,37 @@ def save_binary(m, path) -> None:
 
 
 def load_binary(path) -> np.ndarray:
+    """Read the format ``save_binary`` writes.
+
+    A bad magic, a header shorter than its 16 bytes, a payload that is not a
+    whole number of float64 values, or one shorter ("truncated") or longer
+    ("trailing bytes") than the header's shape raises ValueError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != BINARY_MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}")
-        n_rows, n_cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n_rows * n_cols:
+        header = fh.read(16)
+        if len(header) < 16:
+            raise ValueError(f"short binary header: expected 16 bytes, got {len(header)}")
+        n_rows, n_cols = struct.unpack("<QQ", header)
+        payload = fh.read()
+    expected = 8 * n_rows * n_cols
+    if len(payload) % 8:
         raise ValueError(
-            f"truncated binary matrix: expected {n_rows * n_cols} values, got {data.size}"
+            f"binary payload of {len(payload)} bytes is not a whole number of "
+            f"8-byte values (expected {expected} bytes)"
         )
+    if len(payload) < expected:
+        raise ValueError(
+            f"truncated binary matrix: expected {expected} bytes of values, got {len(payload)}"
+        )
+    if len(payload) > expected:
+        raise ValueError(
+            f"binary matrix has {len(payload) - expected} trailing bytes after "
+            f"the {expected} bytes of values"
+        )
+    data = np.frombuffer(payload, dtype="<f8")
     if n_rows * n_cols == 0:
         return np.empty((n_rows, n_cols))
     return require_matrix(data.reshape(n_rows, n_cols))

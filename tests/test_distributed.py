@@ -1,6 +1,8 @@
 """Serial/distributed equivalence, partition validation, pass accounting."""
 
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from archpursuit import (
     pursue,
     run_distributed,
 )
+from archpursuit import _rng, extreme_points
 from archpursuit.distributed import BYTES_PER_FUNCTIONAL
+from archpursuit.extreme_points import linear_scores
 
 
 def random_partition(n, d, rng):
@@ -151,6 +155,62 @@ def test_sharded_rounds_equal_serial_with_one_pass_per_round(data):
     assert sum(es.votes.values()) == 2 * rounds * m
     assert trace.passes == rounds
     assert trace.bytes_sent == {d: rounds * m * BYTES_PER_FUNCTIONAL for d in range(workers)}
+
+
+def blocked_votes(X, m, seed, budget, floor):
+    """Votes of one round of m functionals scored per row (``linear_scores``)
+    in the blocks the byte rule gives, ties to the lowest row index."""
+    p = X.shape[1]
+    blocks = -(-m // max(floor, min(512, budget // (8 * p))))
+    width = -(-m // blocks)
+    counts = np.zeros(X.shape[0], dtype=np.int64)
+    for start in range(0, m, width):
+        S = linear_scores(X, _rng.functionals(seed, start, min(width, m - start), p))
+        np.add.at(counts, np.argmax(S, axis=0), 1)
+        np.add.at(counts, np.argmin(S, axis=0), 1)
+    return {int(i): int(counts[i]) for i in np.flatnonzero(counts)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_small_byte_budgets_keep_distributed_equal_to_serial(data):
+    # A budget of a few bytes puts tiny p at the width floor, and m past it
+    # splits into uneven blocks; integer rows give exact ties and duplicates.
+    n = data.draw(st.integers(1, 10))
+    p = data.draw(st.integers(1, 3))
+    X = data.draw(arrays(np.float64, (n, p), elements=st.integers(-2, 2).map(float)))
+    X = np.vstack([X, X[data.draw(st.lists(st.integers(0, n - 1), max_size=3))]])
+    n = X.shape[0]
+    workers = data.draw(st.integers(1, 4))
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(0, workers - 1)))
+    part = Partition(n, tuple(np.flatnonzero(labels == d) for d in range(workers)))
+    m = data.draw(st.integers(1, 300))
+    budget = data.draw(st.integers(8, 8 * p * 600))
+    floor = data.draw(st.sampled_from([1, 2, 7, 64]))
+    seed = data.draw(st.integers(0, 2**32))
+    cfg = PursuitConfig(m=m, seed=seed)
+    with mock.patch.object(extreme_points, "_BLOCK_BYTES", budget), mock.patch.object(
+        extreme_points, "_MIN_BLOCK", floor
+    ):
+        es = run_distributed(X, part, cfg)
+        assert es == pursue(X, cfg)
+    assert es.votes == blocked_votes(X, m, seed, budget, floor)
+
+
+def test_contiguous_workers_do_not_copy_x():
+    X = np.random.default_rng(5).standard_normal((20_000, 50))
+    part = Partition.contiguous(20_000, 4)
+    cfg = PursuitConfig(m=16, seed=2)
+    tracemalloc.start()
+    try:
+        es = run_distributed(X, part, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The shards are views of X: the peak is pursuit's working memory and
+    # the finiteness check, well below the 8 MB that copying X would take.
+    assert peak < X.nbytes / 4, peak
+    assert es == pursue(X, cfg)
 
 
 def test_distributed_weights_equals_serial():

@@ -18,6 +18,7 @@ from archpursuit import (
     run_distributed,
     select_top_voted,
 )
+from archpursuit import _rng
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]])
 SQUARE_PLUS_CENTER = np.array(
@@ -236,15 +237,65 @@ def test_adaptive_stopping_rule_confidence():
 
 
 # ---------------------------------------------------------------------------
+# Functional blocks
+
+
+def record_functional_blocks(monkeypatch):
+    """Patch the functional generator to log each call's (first, count, p)."""
+    calls = []
+    functionals = _rng.functionals
+
+    def logged(seed, first, count, p):
+        calls.append((first, count, p))
+        return functionals(seed, first, count, p)
+
+    monkeypatch.setattr(_rng, "functionals", logged)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p, m, patience, widths",
+    [
+        (3, 1100, None, [367, 367, 366]),
+        (100, 180, None, [180]),  # factorize-tall
+        (1000, 180, None, [180]),  # glasso-noise-cell
+        (1000, 300, None, [150, 150]),  # sweep-cell
+        (1000, 300, 1, [150, 150]),
+        (1000, 1000, None, [250, 250, 250, 250]),
+        (4096, 130, None, [44, 44, 42]),
+        (5000, 200, 1, [50, 50, 50, 50]),
+    ],
+)
+def test_functional_blocks_fit_the_byte_budget(monkeypatch, p, m, patience, widths):
+    # Each round is the fewest blocks of one width, a shorter last block
+    # allowed, whose draws fit 2 MiB (64 functionals above p = 4,096).
+    calls = record_functional_blocks(monkeypatch)
+    X = np.random.default_rng(p).standard_normal((7, p))
+    es = pursue(X, PursuitConfig(m=m, seed=3, patience=patience))
+    rounds = sum(es.votes.values()) // (2 * m)
+    assert all(q == p for _, _, q in calls)
+    for _, count, _ in calls:
+        assert count <= (2**21 // (8 * p) if p <= 4096 else 64)
+    assert [(f, c) for f, c, _ in calls] == [
+        (r * m + sum(widths[:i]), c) for r in range(rounds) for i, c in enumerate(widths)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # A-posteriori bound and vote selection
 
 
-@pytest.mark.parametrize("batch", [5, 37, 700])
-def test_adaptive_equals_pursue_with_the_functionals_it_used(batch):
+@pytest.mark.parametrize(
+    "batch, p", [(5, 12), (37, 12), (700, 12), (300, 1000)], ids=["5", "37", "700", "300-p1000"]
+)
+def test_adaptive_equals_pursue_with_the_functionals_it_used(batch, p):
     # r rounds of batch functionals are functionals [0, r * batch), blocked
-    # differently from fixed-m pursuit (batch 700 spans two blocks of 512).
+    # differently from fixed-m pursuit: at p = 12 a round of 700 is two
+    # blocks of 350 and 1,400 functionals are three of 467, 467 and 466; at
+    # p = 1000 a round of 300 is two blocks of 150 and 600 functionals are
+    # three of 200.
     for seed in range(3):
-        X = np.asarray(gen_uniform_separable(60, 12, 6, seed=seed).X)
+        X = np.asarray(gen_uniform_separable(60, p, 6, seed=seed).X)
         for patience in (1, 2):
             es = pursue(X, PursuitConfig(m=batch, seed=seed, patience=patience))
             rounds = sum(es.votes.values()) // (2 * batch)

@@ -25,8 +25,8 @@ from archpursuit import (
     required_m,
     simplicial_constant,
 )
-from archpursuit import _rng, geometry
-from archpursuit.extreme_points import linear_scores
+from archpursuit import _rng
+from archpursuit.extreme_points import _BLOCK_BYTES, _MIN_BLOCK, linear_scores
 from archpursuit.geometry import _nearest_in_hull, cap_area_estimate
 from archpursuit.geometry import _row_space
 
@@ -122,7 +122,7 @@ def rp_win_counts(X, samples, seed):
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
     pairs = -(-samples // 2)
-    block = max(geometry._MIN_PAIRS, geometry._BLOCK_BYTES // (8 * n))
+    block = max(_MIN_BLOCK, _BLOCK_BYTES // (8 * n))
     wins = np.zeros(n, dtype=np.int64)
     for done in range(0, pairs, block):
         Z = _rng.gaussian_rows(seed, _rng.DOMAIN_ANGLES, done, min(block, pairs - done), p)

@@ -241,6 +241,29 @@ def test_binary_truncated(tmp_path):
         load_binary(f)
 
 
+def test_binary_short_header(tmp_path):
+    f = tmp_path / "m.apmx"
+    f.write_bytes(b"APMX" + b"\0" * 10)
+    with pytest.raises(ValueError, match="header: expected 16 bytes, got 10"):
+        load_binary(f)
+
+
+def test_binary_partial_value(tmp_path):
+    f = tmp_path / "m.apmx"
+    save_binary(np.ones((2, 3)), f)
+    f.write_bytes(f.read_bytes() + b"\0" * 3)
+    with pytest.raises(ValueError, match="51 bytes is not a whole number .*expected 48 bytes"):
+        load_binary(f)
+
+
+def test_binary_trailing_bytes(tmp_path):
+    f = tmp_path / "m.apmx"
+    save_binary(np.ones((2, 3)), f)
+    f.write_bytes(f.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError, match="8 trailing bytes after the 48 bytes"):
+        load_binary(f)
+
+
 def test_binary_empty_matrix(tmp_path):
     f = tmp_path / "m.apmx"
     save_binary(np.empty((0, 0)), f)
