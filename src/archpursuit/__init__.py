@@ -40,16 +40,9 @@ from .extreme_points import (
 )
 from .geometry import (
     GeometryReport,
-    LemmaCheck,
-    VertexPolytope,
-    check_cap_bounds,
-    check_simplicial_lemmas,
     condition_kappa,
     estimate_solid_angles,
     geometry_report,
-    hypercube,
-    needle_simplex,
-    regular_simplex,
     required_m,
     simplicial_constant,
 )
@@ -58,7 +51,6 @@ from .glasso import (
     LassoPath,
     default_lambda_grid,
     lambda_max,
-    project_cone_orthant,
     select_by_persistence,
     solve_path,
 )

@@ -27,30 +27,6 @@ from .matrix_io import require_matrix
 ACTIVITY_THRESHOLD = 1e-6
 
 
-def project_cone_orthant(x) -> np.ndarray:
-    """Project onto (second-order cone) ∩ (non-negative orthant).
-
-    The last coordinate is the cone height t, the first q-1 are the group
-    coefficients.  Computed as the composition P_cone(P_orthant(.)), where
-    the orthant clip leaves t alone; the composition equals the exact
-    projection onto the intersection.  x is first scaled exactly by a power
-    of two so that the group norm cannot overflow or underflow.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] < 2:
-        raise ValueError(f"expected a vector of length >= 2, got shape {x.shape}")
-    e = math.frexp(float(np.abs(x).max()))[1]
-    y = np.ldexp(x, -e)
-    w, t = np.maximum(y[:-1], 0.0), float(y[-1])
-    norm = float(np.linalg.norm(w))
-    if t < norm <= -t:
-        w, t = np.zeros_like(w), 0.0
-    elif norm > t:
-        t = 0.5 * (norm + t)
-        w = w * (t / norm)
-    return np.ldexp(np.append(w, t), e)
-
-
 def _column_norms(V: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Euclidean norm of each column of V, without overflow or underflow.
 

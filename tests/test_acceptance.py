@@ -25,9 +25,7 @@ from archpursuit import (
     gen_uniform_separable,
     lambda_max,
     nnls_fit,
-    project_cone_orthant,
     pursue,
-    regular_simplex,
     required_m,
     run_distributed,
     run_scree,
@@ -39,6 +37,7 @@ from archpursuit import (
 from archpursuit.experiments import noise_cell, recovery_fraction
 from archpursuit import _rng
 
+from paper_checks import project_cone_orthant, regular_simplex
 from test_geometry import SQUARE, hull_distance_grid_oracle
 from test_glasso import dykstra_oracle, in_cone_orthant
 

@@ -12,23 +12,19 @@ from hypothesis.extra.numpy import arrays
 
 from archpursuit import (
     PursuitConfig,
-    check_cap_bounds,
-    check_simplicial_lemmas,
     condition_kappa,
     estimate_solid_angles,
     gen_uniform_separable,
     geometry_report,
-    hypercube,
-    needle_simplex,
     pursue,
-    regular_simplex,
     required_m,
     simplicial_constant,
 )
 from archpursuit import _rng
 from archpursuit.extreme_points import _BLOCK_BYTES, _MIN_BLOCK, linear_scores
-from archpursuit.geometry import _nearest_in_hull, cap_area_estimate
-from archpursuit.geometry import _row_space
+from archpursuit.geometry import _nearest_in_hull, _row_space
+from paper_checks import cap_area_estimate, check_cap_bounds, check_simplicial_lemmas
+from paper_checks import hypercube, needle_simplex, regular_simplex
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 

@@ -1,4 +1,4 @@
-"""Cone-orthant projection (against independent oracles), the group prox and the lasso path."""
+"""The group prox, the lasso path, and ``paper_checks.project_cone_orthant`` against oracles."""
 
 import math
 import warnings
@@ -17,12 +17,12 @@ from archpursuit import (
     gen_uniform_separable,
     lambda_max,
     nnls_fit,
-    project_cone_orthant,
     pursue,
     select_by_persistence,
     solve_path,
 )
 from archpursuit.glasso import _group_prox
+from paper_checks import project_cone_orthant
 
 
 def in_cone_orthant(y, tol=1e-12):
