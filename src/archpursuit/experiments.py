@@ -51,9 +51,9 @@ def max_threads() -> int:
     The threads run each trial's instance generation and pursuit in
     parallel; a noise trial's selection and NNLS fit run one at a time.  On a
     2-core machine with one BLAS thread, pursuit of 8 noisy-pairs instances
-    (p=1000, k=20) took 0.050 s on 2 threads against 0.078 s serially, while
-    their glasso paths took 1.96 s on 2 threads (2.8 s of CPU) against 1.11 s
-    serially.
+    (p=1000, k=20) took 0.035-0.055 s on 2 threads against 0.072-0.076 s
+    serially, while their glasso paths took 1.27-1.38 s on 2 threads (1.8-1.9
+    s of CPU) against 0.81-0.86 s serially.
     """
     cap = os.environ.get("ARCHPURSUIT_THREADS")
     limit = os.cpu_count() or 1
@@ -77,6 +77,12 @@ def _trial_seeds(seed: int, trial: int) -> tuple[int, int]:
     """Instance and pursuit seeds of a trial: children 2t and 2t+1 of seed in
     DOMAIN_TRIALS.  Seeded results depend on this rule."""
     return tuple(_rng.child_seed(seed, _rng.DOMAIN_TRIALS, 2 * trial + j) for j in (0, 1))
+
+
+# solve_path's (tol, max_iter_per_lambda); tol bounds each penalty's relative
+# duality gap.  1e-2 lost true rows at epsilon 0.1 and changed factorize picks.
+_NOISE_PATH = (3e-3, 1000)
+_FACTORIZE_PATH = (1e-4, 5000)
 
 
 def _select(X, es, k, selector, grid_points, tol, max_iter_per_lambda, keep_path):
@@ -211,7 +217,7 @@ def noise_cell(
         X = gen_noisy_pairs(p, k, epsilon, inst_seed)
         es = pursue(X, PursuitConfig(m=m, seed=run_seed))
         with solver:
-            rows, _ = _select(X, es, select_k, selector, grid_points, 1e-7, 1000, keep_path=False)
+            rows, _ = _select(X, es, select_k, selector, grid_points, *_NOISE_PATH, keep_path=False)
             return _fit_residual_per_row(X, rows)
 
     vals = _run_trials(one, trials, max_threads())
@@ -348,7 +354,7 @@ def factorize(
     cfg = PursuitConfig(m=m, seed=seed, patience=1 if adaptive else None, normalize_rows=normalize)
     es = run_distributed(X, part, cfg, trace)
     kept = len(es.indices) if k is None else k
-    chosen, path = _select(X, es, kept, select, 50, 1e-9, 5000, keep_path=True)
+    chosen, path = _select(X, es, kept, select, 50, *_FACTORIZE_PATH, keep_path=True)
     fit = distributed_weights(X, part, chosen, trace=trace)
     return FactorizeResult(
         indices=chosen,

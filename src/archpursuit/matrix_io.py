@@ -28,7 +28,8 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if m.size and not np.isfinite(m).all():
+    # max and min propagate NaN and allocate no n x p mask, unlike isfinite.
+    if m.size and not (np.isfinite(m.max()) and np.isfinite(m.min())):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 

@@ -21,6 +21,7 @@ from archpursuit import (
     select_by_persistence,
     solve_path,
 )
+from archpursuit.experiments import _NOISE_PATH
 from archpursuit.glasso import _group_prox
 from paper_checks import project_cone_orthant
 
@@ -249,15 +250,50 @@ def test_true_extremes_persist_longer_than_interior():
 def test_path_reports_iterations_and_cap_hits():
     _, X, H = _small_problem()
     grid = default_lambda_grid(lambda_max(X, H), num=4)
-    # The stopping rule needs a 10-iteration window, so a cap of 2 stops
-    # every penalty short.
-    with pytest.warns(RuntimeWarning, match=r"max_iter_per_lambda=2 .*\[0, 1, 2, 3\]"):
-        short = solve_path(GroupLassoProblem(X, H, grid), max_iter_per_lambda=2)
-    assert short.iterations.tolist() == [2, 2, 2, 2]
+    # The gap is first checked at iteration 5, so a cap of 4 stops every
+    # penalty short, even the one at lambda_max, where W = 0 is optimal.
+    with pytest.warns(RuntimeWarning, match=r"max_iter_per_lambda=4 .*\[0, 1, 2, 3\]"):
+        short = solve_path(GroupLassoProblem(X, H, grid), max_iter_per_lambda=4)
+    assert short.iterations.tolist() == [4, 4, 4, 4]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         full = solve_path(GroupLassoProblem(X, H, grid))
-    assert ((full.iterations >= 10) & (full.iterations < 5000)).all()
+    assert ((full.iterations % 5 == 0) & (full.iterations < 5000)).all()
+    assert (full.gaps <= 1e-6).all(), full.gaps
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 5)), elements=_unit),
+    arrays(np.float64, st.tuples(st.integers(1, 5), st.just(5)), elements=_unit),
+    st.floats(1e-10, 1e-1),
+    st.integers(1, 60),
+)
+def test_every_uncapped_penalty_stops_within_tol(X, H, tol, cap):
+    # The warning names exactly the penalties that ran out of iterations
+    # without a passing gap check; every other one stopped at a check (a
+    # multiple of 5 iterations) with its recorded gap at most tol.
+    H = H[:, : X.shape[1]]
+    assume(H.any())
+    lam = lambda_max(X, H)
+    assume(lam > 0.0)
+    grid = default_lambda_grid(lam, num=5, span=1e-2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        path = solve_path(GroupLassoProblem(X, H, grid), tol=tol, max_iter_per_lambda=cap)
+    named = []
+    if caught:
+        (w,) = caught
+        assert f"max_iter_per_lambda={cap} " in str(w.message)
+        named = [int(t) for t in str(w.message).split("[")[1].rstrip("]").split(",")]
+    short = (path.iterations == cap) & ((cap % 5 != 0) | (path.gaps > tol))
+    assert named == np.flatnonzero(short).tolist()
+    done = ~short
+    assert (path.gaps[done] <= tol).all(), (path.gaps, tol)
+    assert (path.iterations[done] % 5 == 0).all() and (path.iterations <= cap).all()
 
 
 def test_objectives_are_fit_plus_penalty():
@@ -400,9 +436,7 @@ def test_persistence_selects_true_rows_on_noisy_pairs():
         cand = list(es.indices)
         lam = lambda_max(X, X[cand])
         path = solve_path(
-            GroupLassoProblem(X, X[cand], default_lambda_grid(lam, num=30)),
-            tol=1e-7,
-            max_iter_per_lambda=1000,
+            GroupLassoProblem(X, X[cand], default_lambda_grid(lam, num=30)), *_NOISE_PATH
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -412,17 +446,17 @@ def test_persistence_selects_true_rows_on_noisy_pairs():
 
 
 # solve_path at noise_cell's settings (m = 180 candidates pursued, 20 grid
-# points, tol 1e-7, 1,000 iterations per lambda) on seeded noisy pairs:
-# (seed, epsilon, candidates, iterations per lambda), recorded from the
-# solver before its gradient step was folded into one product.  Every
-# instance selects the 20 true rows.
+# points, ``_NOISE_PATH``) on seeded noisy pairs: (seed, epsilon,
+# candidates, iterations per lambda).  The gap is checked every 5th
+# iteration, so each count is a multiple of 5.  Every instance selects the
+# 20 true rows.
 _NOISE_CELL_PATHS = [
-    (0, 0.01, 47, [10, 140, 96, 91, 57, 55, 73, 73, 74, 72]
-       + [80, 86, 90, 92, 92, 92, 90, 88, 84, 57]),
-    (1, 0.03, 75, [10, 296, 335, 246, 77, 69, 71, 91, 93, 86]
-       + [96, 104, 108, 110, 110, 107, 104, 141, 173, 215]),
-    (2, 0.1, 135, [10, 195, 140, 192, 226, 223, 126, 119, 118, 117]
-       + [144, 198, 193, 189, 170, 252, 286, 217, 221, 226]),
+    (0, 0.01, 47, [5, 35, 10, 30, 55, 50, 50, 55, 60, 55]
+       + [55, 70, 70, 75, 75, 75, 75, 75, 75, 75]),
+    (1, 0.03, 75, [5, 30, 15, 40, 130, 50, 50, 70, 75, 50]
+       + [60, 75, 85, 90, 90, 95, 105, 135, 220, 270]),
+    (2, 0.1, 135, [5, 40, 45, 50, 60, 140, 130, 75, 100, 95]
+       + [120, 185, 175, 205, 155, 160, 285, 310, 330, 335]),
 ]
 
 
@@ -433,7 +467,7 @@ def test_noise_cell_path_iterations_and_selection_are_pinned(seed, eps, n_cand, 
     cand = list(pursue(X, PursuitConfig(m=math.ceil(3 * k * math.log(k)), seed=seed)).indices)
     assert len(cand) == n_cand
     grid = default_lambda_grid(lambda_max(X, X[cand]), num=20)
-    path = solve_path(GroupLassoProblem(X, X[cand], grid), tol=1e-7, max_iter_per_lambda=1000)
+    path = solve_path(GroupLassoProblem(X, X[cand], grid), *_NOISE_PATH)
     assert path.iterations.tolist() == iterations
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -505,5 +539,5 @@ def test_duality_gap_closes_after_a_tight_solve():
     grid = default_lambda_grid(lambda_max(X, H), num=5, span=1e-2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        tight = solve_path(GroupLassoProblem(X, H, grid), tol=1e-15, max_iter_per_lambda=5000)
-    assert (tight.gaps <= 1e-6).all(), tight.gaps
+        tight = solve_path(GroupLassoProblem(X, H, grid), tol=1e-12, max_iter_per_lambda=5000)
+    assert (tight.gaps <= 1e-12).all(), tight.gaps

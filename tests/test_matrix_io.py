@@ -1,6 +1,7 @@
 """CSV/binary round trips and the synthetic instance generators."""
 
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,3 +371,37 @@ def test_require_matrix_validation():
         require_matrix(np.ones(3))
     with pytest.raises(ValueError):
         require_matrix(np.array([[1.0, np.inf]]))
+
+
+def test_require_matrix_allocates_no_mask():
+    # The finiteness check must not build an n x p boolean array (1/8 of X).
+    X = np.random.default_rng(0).standard_normal((4000, 500))
+    tracemalloc.start()
+    try:
+        out = require_matrix(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out is X
+    assert peak < X.nbytes / 64, peak
+
+
+_huge = st.floats(1e300, 1.7976931348623157e308)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        elements=st.one_of(st.floats(-1e3, 1e3), _huge, _huge.map(lambda v: -v)),
+    ),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.integers(0, 35),
+)
+def test_require_matrix_rejects_any_non_finite_entry(X, bad, where):
+    # Finite entries near overflow pass; one NaN or infinity anywhere fails.
+    require_matrix(X)
+    X.flat[where % X.size] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        require_matrix(X)
