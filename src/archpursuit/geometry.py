@@ -191,14 +191,23 @@ def _nearest_in_hull(h, A, tol: float, what: str) -> tuple[float, np.ndarray]:
     y = s @ B
     dist = np.linalg.norm(B, axis=1)
     tau = 4.0 * (k + p) * np.finfo(np.float64).eps * dist.max()
-    F = np.flatnonzero(s)
-    K = np.pad(B[F] @ B[F].T, (0, 1), constant_values=1.0)
-    K[-1, -1] = 0.0
+    reduced = s.copy()
     polished = np.zeros(k)
-    try:
-        polished[F] = np.linalg.solve(K, np.eye(F.size + 1)[-1])[:-1]
-    except np.linalg.LinAlgError:  # affinely dependent support: keep s
-        polished = s
+    while True:
+        F = np.flatnonzero(reduced)
+        K = np.pad(B[F] @ B[F].T, (0, 1), constant_values=1.0)
+        K[-1, -1] = 0.0
+        try:
+            polished[F] = np.linalg.solve(K, np.eye(F.size + 1)[-1])[:-1]
+            break
+        except np.linalg.LinAlgError:  # affinely dependent support: Caratheodory step
+            v = np.linalg.svd(np.column_stack([B[F], np.ones(F.size)]).T)[2][-1]
+            v = v if v.max() > 0.0 else -v
+            pos = v > 0.0
+            ratio = reduced[F][pos] / v[pos]
+            i = int(np.argmin(ratio))
+            reduced[F] = np.maximum(reduced[F] - ratio[i] * v, 0.0)
+            reduced[F[pos][i]] = 0.0
     y_polished = polished @ B
     if (polished[F] > 0.0).all() and np.linalg.norm(y_polished) <= np.linalg.norm(y) + tau:
         s, y = polished, y_polished
@@ -229,7 +238,11 @@ def simplicial_constant(X, ext_indices, i: int, tol: float = 1e-8) -> float:
     simplex; alpha is ||y|| scaled back.  Polish: the Gram-form NNLS leaves
     s some ulps off, so s is re-solved on its support F from
     [[B_F B_F^T, 1], [1^T, 0]] [s_F; lam] = [0; 1], kept when positive and
-    no farther from the origin (within tau).  A nearer vertex replaces y, so
+    no farther from the origin (within tau).  On an affinely dependent
+    support (a repeated row, or more rows than p + 1) that system is
+    singular, so Caratheodory steps first move s along a null vector of
+    [B_F, 1]^T, which keeps y and sum(s), until a weight reaches 0 and the
+    support is independent.  A nearer vertex replaces y, so
     alpha never exceeds min_j ||b_j||.  Snap: y errs by about k eps max||b_j||
     from its k-term sums and p eps max||b_j|| from the solve's p-term
     products, so ||y|| <= tau = 4 (k + p) eps max_j ||b_j|| reads as 0 (row i

@@ -491,6 +491,15 @@ def hulls(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(hulls())
+# Affinely dependent supports: a repeated row with h inside the hull.
+@example((np.array([3.0]), np.array([[2.0], [2.0], [4.0]]), 0))
+@example(
+    (
+        np.array([-2.0, -1.0]),
+        np.array([[-2.0, -3.0], [0.0, -1.0], [3.0, 4.0], [-4.0, -4.0], [-4.0, -4.0], [1.0, 3.0], [0.0, 2.0]]),
+        0,
+    )
+)
 def test_wolfe_certificate_holds_within_rounding(hull):
     h, A, e = hull
     with warnings.catch_warnings():
