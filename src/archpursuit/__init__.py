@@ -64,7 +64,7 @@ from .matrix_io import (
     save_binary,
     save_csv,
 )
-from .nnls import NnlsSolution, kkt_residual, nnls_fit
+from .nnls import NnlsSolution, nnls_fit
 
 __version__ = "0.1.0"
 

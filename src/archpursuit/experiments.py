@@ -288,21 +288,24 @@ def run_scree(X, m: int, repeats: int, seed: int) -> np.ndarray:
 def classify_rows(X, archetype_indices) -> np.ndarray:
     """Label each row with the nearest archetype row (squared l2 distance).
 
-    Ties go to the lowest archetype row index.
+    Ties go to the lowest archetype row index.  X is first scaled exactly by
+    the power of two that puts max|X| in [0.5, 1), and each ||x_i - a_j||^2 is
+    summed from the differences, one archetype at a time, so neither a common
+    offset nor values near overflow or underflow change a label.
     """
     X = require_matrix(X, "X")
     arch = np.asarray(sorted(_checked_indices(archetype_indices, X.shape[0])), dtype=np.int64)
     if arch.size == 0:
         raise ValueError("archetype_indices must be nonempty")
-    A = X[arch]
-    # Squared distances via expansion; ascending archetype order makes the
-    # argmin's first-occurrence rule the lowest-index tie-break.
-    d2 = (
-        np.einsum("ij,ij->i", X, X)[:, None]
-        - 2.0 * X @ A.T
-        + np.einsum("ij,ij->i", A, A)[None, :]
-    )
-    return arch[np.argmin(d2, axis=1)]
+    X = np.ldexp(X, -math.frexp(max(X.max(), -X.min()))[1])
+    best = np.full(X.shape[0], np.inf)
+    labels = np.empty(X.shape[0], dtype=np.int64)
+    for j in arch:  # ascending, and only a strictly nearer archetype relabels
+        D = X - X[j]
+        d2 = np.einsum("ij,ij->i", D, D)
+        nearer = d2 < best
+        best[nearer], labels[nearer] = d2[nearer], j
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ z inside that space, so a rank-r X needs draws in R^r (see
 ``estimate_solid_angles``).
 
 The simplicial constant alpha_i, the distance from extreme point i to the
-hull of the others, is solved exactly as a least-distance NNLS (see
-``simplicial_constant``).
+hull of the others, is found by Wolfe's minimum-norm-point algorithm, which
+stops on its own optimality certificate at the rounding level and warns when
+rounding stalls it short of that (see ``simplicial_constant``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from . import _rng
 from .extreme_points import _BLOCK_BYTES, _MIN_BLOCK, block_optima
 from .matrix_io import _checked_indices, require_matrix
-from .nnls import nnls_fit
 
 # Monte Carlo blocks share the pursuit kernel's budget (``_BLOCK_BYTES`` and
 # ``_MIN_BLOCK`` of ``extreme_points``): a solid-angle block holds at most
@@ -176,84 +176,86 @@ def required_m(omega, k: int, delta: float) -> int:
 # Simplicial constants
 
 
-def _nearest_in_hull(h, A, tol: float, what: str) -> tuple[float, np.ndarray]:
+def _nearest_in_hull(h, A, what: str) -> tuple[float, np.ndarray]:
     """(alpha, s): distance from h to conv(rows of A) and the hull weights of
-    the nearest point, as in ``simplicial_constant``; warnings name ``what``."""
-    if not 0.0 <= tol < 1.0:  # tol >= c^2 >= 1 would accept u = 0
-        raise ValueError(f"tol must lie in [0, 1), got {tol}")
+    the nearest point, by Wolfe's algorithm as in ``simplicial_constant``;
+    a warning names ``what``."""
     e = math.frexp(max(np.abs(A).max(), np.abs(h).max()))[1]
     B = np.ldexp(A, -e) - np.ldexp(h, -e)
     k, p = B.shape
-    c = max(float(np.abs(B).max()), 1.0)
-    sol = nnls_fit(np.append(np.zeros(p), c)[None, :], np.column_stack([B, np.full(k, c)]), tol)
-    sigma = float(sol.W[0].sum())
-    s = sol.W[0] / sigma
-    y = s @ B
+    G = B @ B.T
     dist = np.linalg.norm(B, axis=1)
     tau = 4.0 * (k + p) * np.finfo(np.float64).eps * dist.max()
-    reduced = s.copy()
-    polished = np.zeros(k)
-    while True:
-        F = np.flatnonzero(reduced)
-        K = np.pad(B[F] @ B[F].T, (0, 1), constant_values=1.0)
-        K[-1, -1] = 0.0
-        try:
-            polished[F] = np.linalg.solve(K, np.eye(F.size + 1)[-1])[:-1]
+    corral = [int(np.argmin(dist))]
+    s = np.zeros(k)
+    s[corral] = 1.0
+    stalled = f"no certificate after {4 * (k + p + 1)} major cycles"
+    for _ in range(4 * (k + p + 1)):
+        y = s @ B
+        g = B @ y
+        j = int(np.argmin(g))
+        if float(y @ y) - g[j] <= tau * dist.max():
+            stalled = ""
             break
-        except np.linalg.LinAlgError:  # affinely dependent support: Caratheodory step
-            v = np.linalg.svd(np.column_stack([B[F], np.ones(F.size)]).T)[2][-1]
-            v = v if v.max() > 0.0 else -v
-            pos = v > 0.0
-            ratio = reduced[F][pos] / v[pos]
-            i = int(np.argmin(ratio))
-            reduced[F] = np.maximum(reduced[F] - ratio[i] * v, 0.0)
-            reduced[F[pos][i]] = 0.0
-    y_polished = polished @ B
-    if (polished[F] > 0.0).all() and np.linalg.norm(y_polished) <= np.linalg.norm(y) + tau:
-        s, y = polished, y_polished
-    j = int(np.argmin(dist))
-    if dist[j] < np.linalg.norm(y):
-        s, y = np.eye(k)[j], B[j]
+        if j in corral:
+            stalled = "the best row is already in the corral"
+            break
+        corral.append(j)
+        while j in corral:  # minor cycles: step toward the affine minimizer
+            F = np.array(corral)
+            K = np.ones((F.size + 1, F.size + 1))
+            K[:-1, :-1] = G[F[:, None], F]
+            K[-1, -1] = 0.0
+            v = np.linalg.solve(K, np.eye(F.size + 1)[-1])[:-1]
+            if (v > 0.0).all():
+                s[F] = v / v.sum()
+                break
+            out = v <= 0.0
+            ratio = s[F][out] / (s[F][out] - v[out])
+            s[F] += ratio.min() * (v - s[F])
+            s[F[out][np.argmin(ratio)]] = 0.0
+            s[F] = np.maximum(s[F], 0.0)
+            corral = [f for f in corral if s[f] > 0.0]
+        else:
+            stalled = "the minor cycles dropped the row just added"
+            break
+    y = s @ B
     alpha = float(np.linalg.norm(y))
-    gap = alpha * alpha - float((B @ y).min())
-    slack = tau * dist.max() + 2.0 * tol / sigma
-    if not sol.converged or (alpha > tau and gap > slack):
+    if stalled:
+        gap = float(y @ y) - float((B @ y).min())
         warnings.warn(
-            f"simplicial constant of {what}: NNLS KKT {sol.kkt:.3g} (tol={tol:g}), "
-            f"Wolfe certificate gap {gap:.3g} (allowed {slack:.3g})",
+            f"simplicial constant of {what}: {stalled}; Wolfe certificate gap "
+            f"{gap:.3g} (allowed {tau * dist.max():.3g})",
             RuntimeWarning,
             stacklevel=3,
         )
     return (0.0 if alpha <= tau else math.ldexp(alpha, e)), s
 
 
-def simplicial_constant(X, ext_indices, i: int, tol: float = 1e-8) -> float:
+def simplicial_constant(X, ext_indices, i: int) -> float:
     """Distance from extreme row i to the convex hull of the other extreme rows.
 
-    Least-distance reduction (Lawson & Hanson 1974, ch. 23): h = x_i and the
-    other rows a_j are scaled exactly by the power of two that puts their
-    max|entry| in [0.5, 1).  With b_j = a_j - h and c = max(max|b|, 1), the
-    NNLS of [0, ..., 0, c] against the rows [b_j, c] to KKT tol gives u >= 0,
-    sigma = sum(u) > 0, and s = u / sigma minimizing ||y||, y = s B, over the
-    simplex; alpha is ||y|| scaled back.  Polish: the Gram-form NNLS leaves
-    s some ulps off, so s is re-solved on its support F from
-    [[B_F B_F^T, 1], [1^T, 0]] [s_F; lam] = [0; 1], kept when positive and
-    no farther from the origin (within tau).  On an affinely dependent
-    support (a repeated row, or more rows than p + 1) that system is
-    singular, so Caratheodory steps first move s along a null vector of
-    [B_F, 1]^T, which keeps y and sum(s), until a weight reaches 0 and the
-    support is independent.  A nearer vertex replaces y, so
-    alpha never exceeds min_j ||b_j||.  Snap: y errs by about k eps max||b_j||
-    from its k-term sums and p eps max||b_j|| from the solve's p-term
-    products, so ||y|| <= tau = 4 (k + p) eps max_j ||b_j|| reads as 0 (row i
-    inside the hull of the others, or a duplicate).  Certificate (Wolfe
-    1976): y is optimal iff min_j b_j.y >= ||y||^2.  The NNLS gradient is
-    sigma (b_j.y - ||y||^2) off its support and 0 on it, so KKT tol bounds
-    the gap ||y||^2 - min_j b_j.y by tol / sigma, and alpha lies within
-    gap / ||y|| of the exact distance.  An unconverged NNLS, or a gap above
-    2 tol / sigma + tau max_j ||b_j||, emits a RuntimeWarning naming row i.
-    A negative, out-of-range or repeated index raises ValueError, and so does
-    a non-finite entry in the extreme rows; the other rows are not read.
+    Wolfe's minimum-norm-point algorithm (Wolfe 1976, "Finding the nearest
+    point in a polytope").  h = x_i and the other rows a_j are scaled exactly
+    by the power of two that puts their max|entry| in [0.5, 1), and
+    b_j = a_j - h; alpha is min ||y|| over y = s B, s in the simplex, scaled
+    back.  The Gram matrix B B^T is formed once.  The walk starts at the
+    nearest row, with the corral (the support of s) holding it alone.  A major
+    cycle adds the row j minimizing b_j.y; minor cycles solve
+    [[B_F B_F^T, 1], [1^T, 0]] [v; lam] = [0; 1] on the corral F for its
+    affine minimizer v and step s toward it until every weight is positive,
+    dropping the rows whose weight reaches 0.  Certificate: y is optimal iff
+    min_j b_j.y >= ||y||^2, and alpha lies within gap / ||y|| of the exact
+    distance for gap = ||y||^2 - min_j b_j.y.  y errs by about k eps
+    max||b_j|| from its k-term sums and p eps max||b_j|| from the p-term
+    products, so the walk stops once gap <= tau max_j ||b_j|| with
+    tau = 4 (k + p) eps max_j ||b_j||, and ||y|| <= tau reads as exactly 0
+    (row i inside the hull of the others, or a duplicate).  A walk that
+    rounding stalls first emits a RuntimeWarning naming row i and the gap:
+    when the best row is already in the corral, when the minor cycles drop
+    the row just added, or after 4 (k + p + 1) major cycles.  A negative,
+    out-of-range or repeated index raises ValueError, and so does a
+    non-finite entry in the extreme rows; the other rows are not read.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -264,7 +266,7 @@ def simplicial_constant(X, ext_indices, i: int, tol: float = 1e-8) -> float:
     if i not in ext_indices:
         raise ValueError(f"index {i} is not among the extreme indices")
     A = require_matrix(X[[i] + [j for j in ext_indices if j != i]], "X")
-    alpha, _ = _nearest_in_hull(A[0], A[1:], tol, f"row {i}")
+    alpha, _ = _nearest_in_hull(A[0], A[1:], f"row {i}")
     return alpha
 
 

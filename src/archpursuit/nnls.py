@@ -38,23 +38,6 @@ class NnlsSolution:
     kkt: float
 
 
-def kkt_residual(X, H, W) -> float:
-    """Optimality certificate max |min(W, G)| with G = (W H - X) H^T.
-
-    Zero iff W is optimal: the gradient is non-negative where W = 0 and
-    vanishes where W > 0.
-    """
-    X = require_matrix(X, "X")
-    H = require_matrix(H, "H")
-    W = require_matrix(W, "W")
-    if W.shape != (X.shape[0], H.shape[0]) or H.shape[1] != X.shape[1]:
-        raise ValueError(
-            f"inconsistent shapes: X {X.shape}, H {H.shape}, W {W.shape}"
-        )
-    G = (W @ H - X) @ H.T
-    return float(np.abs(np.minimum(W, G)).max())
-
-
 def _lawson_hanson(H, v, tol: float, rounds: int):
     """Lawson-Hanson for one row: min 0.5 * ||v - x H||^2 over x >= 0.
 
@@ -113,7 +96,8 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
     noise cannot keep it flipping.  W = max(x, 0); ``iterations`` counts
     rounds, Lawson-Hanson ones included; ``residual`` is ||X - W H||_F,
     formed once here so that callers need not form X - W H again, and
-    ``kkt`` is the residual-form :func:`kkt_residual` of the same product.
+    ``NnlsSolution.kkt`` is the certificate max |min(W, (W H - X) H^T)| of
+    the same product, zero iff W is optimal.
     """
     X = require_matrix(X, "X")
     H = require_matrix(H, "H")

@@ -1,7 +1,8 @@
 """Test oracles from the paper: the spherical-cap area bounds, polytopes with known
 adjacency and the two inequalities tying solid angles to simplicial constants, plus the
-exact cone-orthant projection.  No pipeline stage runs them; pytest does not collect this
-module (its name does not match ``test_*.py``)."""
+NNLS optimality certificate and the exact cone-orthant projection.  No pipeline stage
+runs them; pytest does not collect this module (its name does not match
+``test_*.py``)."""
 
 import itertools
 import math
@@ -200,7 +201,7 @@ def omega_upper_bound(alpha: float, r_min: float, d: int):
 
 
 def check_simplicial_lemmas(
-    polytopes, samples: int = 200_000, seed: int = 0, alpha_tol: float = 1e-9
+    polytopes, samples: int = 200_000, seed: int = 0
 ) -> list[LemmaCheck]:
     """Verify both solid-angle/simplicial-constant inequalities numerically.
 
@@ -225,9 +226,7 @@ def check_simplicial_lemmas(
         omega, se = estimate_solid_angles(V, ext, samples=samples, seed=seed)
         for i in range(r):
             r_max = float(pdist(V[list(poly.neighbors[i])]).max(initial=0.0))
-            alpha, s = _nearest_in_hull(
-                V[i], np.delete(V, i, axis=0), alpha_tol, f"{poly.name} vertex {i}"
-            )
+            alpha, s = _nearest_in_hull(V[i], np.delete(V, i, axis=0), f"{poly.name} vertex {i}")
             note = ""
             r_min = None
             omega_bound = None
@@ -262,6 +261,27 @@ def check_simplicial_lemmas(
                 )
             )
     return checks
+
+
+# ---------------------------------------------------------------------------
+# NNLS optimality
+
+
+def kkt_residual(X, H, W) -> float:
+    """Optimality certificate max |min(W, G)| with G = (W H - X) H^T.
+
+    Zero iff W is optimal: the gradient is non-negative where W = 0 and
+    vanishes where W > 0.
+    """
+    X = require_matrix(X, "X")
+    H = require_matrix(H, "H")
+    W = require_matrix(W, "W")
+    if W.shape != (X.shape[0], H.shape[0]) or H.shape[1] != X.shape[1]:
+        raise ValueError(
+            f"inconsistent shapes: X {X.shape}, H {H.shape}, W {W.shape}"
+        )
+    G = (W @ H - X) @ H.T
+    return float(np.abs(np.minimum(W, G)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from archpursuit import (
     NoiseSpec,
@@ -165,6 +168,33 @@ def test_classify_tie_breaks_to_lowest_index():
     labels = classify_rows(X, [0, 1])
     assert labels[2] == 0  # row 2 is exactly distance 1 from both archetypes
     assert (classify_rows(X, [1, 0]) == labels).all()
+
+
+FIVE_ROWS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.9, 0.1], [0.1, 0.8]])
+
+
+def test_classify_survives_an_offset_and_hostile_scales():
+    # The expanded form ||x||^2 - 2 x.a + ||a||^2 labelled every row 0 under
+    # the offset and at 1e-200, and row 4 as 1 (with an overflow) at 1e200.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X in (FIVE_ROWS, FIVE_ROWS + 1e9, FIVE_ROWS * 1e-200, FIVE_ROWS * 1e200):
+            assert classify_rows(X, [0, 1, 2]).tolist() == [0, 1, 2, 1, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 8), st.integers(1, 4)),
+        elements=st.integers(-4, 4).map(float),
+    ),
+    st.integers(-900, 900),
+    st.data(),
+)
+def test_classify_labels_are_invariant_under_power_of_two_scaling(X, s, data):
+    arch = data.draw(st.lists(st.integers(0, X.shape[0] - 1), min_size=1, unique=True))
+    assert (classify_rows(np.ldexp(X, s), arch) == classify_rows(X, arch)).all()
 
 
 def test_classify_mass_concentration():
