@@ -29,11 +29,8 @@ from .experiments import (
     run_sweep,
 )
 from .extreme_points import (
-    BlockOptima,
     ExtremeSet,
     PursuitConfig,
-    block_optima,
-    linear_scores,
     posterior_missed_mass,
     pursue,
     select_top_voted,

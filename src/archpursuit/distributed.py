@@ -146,10 +146,10 @@ def distributed_weights(
     ``NnlsSolution``, whose ``residual`` a caller reads instead of forming
     X - W H again.  The pass records 0 bytes sent, so ``bytes_sent`` stays
     pursuit's alone; the n * k * 8 bytes of X H^T are not counted yet.  A fit
-    that ends above the KKT tolerance ``tol`` (it hit ``max_iter``) emits one
-    RuntimeWarning with its KKT residual and ``max_iter``; W is still
-    returned.  An empty H_rows, or a negative, out-of-range or repeated
-    index, raises ValueError.
+    that ends above ``tol`` on ``nnls_fit``'s scaled problem (it hit
+    ``max_iter``) emits one RuntimeWarning with its KKT residual in X's units
+    squared and ``max_iter``; W is still returned.  An empty H_rows, or a
+    negative, out-of-range or repeated index, raises ValueError.
     """
     X = require_matrix(X, "X")
     H_rows = _checked_indices(H_rows, X.shape[0])
@@ -162,8 +162,8 @@ def distributed_weights(
     sol = nnls_fit(X, X[H_rows], tol=tol, max_iter=max_iter)
     if not sol.converged:
         warnings.warn(
-            f"NNLS stopped at KKT {sol.kkt:.3g} > tol={tol:g} "
-            f"after max_iter={max_iter} iterations",
+            f"NNLS stopped at KKT {sol.kkt:.3g} (X's units squared), above tol={tol:g} on X "
+            f"and H scaled to max|H| in [0.5, 1), after max_iter={max_iter} iterations",
             RuntimeWarning,
             stacklevel=2,
         )

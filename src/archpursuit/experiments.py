@@ -21,7 +21,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .glasso import (
     select_by_persistence,
     solve_path,
 )
-from .matrix_io import _checked_indices, gen_hilbert_separable, gen_noisy_pairs
-from .matrix_io import gen_uniform_separable, require_matrix
+from .matrix_io import _checked_indices, _scale_exponent, gen_hilbert_separable
+from .matrix_io import gen_noisy_pairs, gen_uniform_separable, require_matrix
 from .nnls import nnls_fit
 
 GENERATORS = {
@@ -90,17 +90,23 @@ def _select(X, es, k, selector, grid_points, tol, max_iter_per_lambda, keep_path
     glasso path (grid_points penalties) or None.
 
     With no more than k found rows every one is kept and no selector runs;
-    the path is then solved only if keep_path asks for it.
+    the path is then solved only if keep_path asks for it.  It is solved on
+    X * 2^-e, e = ``_scale_exponent(X)``, and its lambdas and objectives are
+    scaled back by 4^e, so X * 2^s gives the same bits times 4^s there.
     """
     found = list(es.indices)
     path = None
     if selector == "glasso" and (keep_path or len(found) > k):
+        e = _scale_exponent(X)
+        X = np.ldexp(X, -e) if e else X
         lam_hi = lambda_max(X, X[found])
         # lam_hi is 0 only when every found row is zero, and then there is no
         # path to solve; with no more found rows than k none is needed.
         if lam_hi > 0 or len(found) > k:
             prob = GroupLassoProblem(X, X[found], default_lambda_grid(lam_hi, grid_points))
             path = solve_path(prob, tol, max_iter_per_lambda)
+            scaled = ("lambdas", "objectives", "fit_objectives")
+            path = replace(path, **{f: np.ldexp(getattr(path, f), 2 * e) for f in scaled})
     if len(found) > k:
         if selector == "vote":
             found = select_top_voted(es, k)
@@ -217,8 +223,10 @@ def noise_cell(
         X = gen_noisy_pairs(p, k, epsilon, inst_seed)
         es = pursue(X, PursuitConfig(m=m, seed=run_seed))
         with solver:
+            e = _scale_exponent(X)  # the trial owns X: scaled in place, nothing below copies it
+            np.ldexp(X, -e, out=X)
             rows, _ = _select(X, es, select_k, selector, grid_points, *_NOISE_PATH, keep_path=False)
-            return _fit_residual_per_row(X, rows)
+            return math.ldexp(_fit_residual_per_row(X, rows), e)
 
     vals = _run_trials(one, trials, max_threads())
     return float(np.mean(vals))
@@ -289,7 +297,7 @@ def classify_rows(X, archetype_indices) -> np.ndarray:
     """Label each row with the nearest archetype row (squared l2 distance).
 
     Ties go to the lowest archetype row index.  X is first scaled exactly by
-    the power of two that puts max|X| in [0.5, 1), and each ||x_i - a_j||^2 is
+    2^-e, e = ``_scale_exponent(X)``, and each ||x_i - a_j||^2 is
     summed from the differences, one archetype at a time, so neither a common
     offset nor values near overflow or underflow change a label.
     """
@@ -297,7 +305,7 @@ def classify_rows(X, archetype_indices) -> np.ndarray:
     arch = np.asarray(sorted(_checked_indices(archetype_indices, X.shape[0])), dtype=np.int64)
     if arch.size == 0:
         raise ValueError("archetype_indices must be nonempty")
-    X = np.ldexp(X, -math.frexp(max(X.max(), -X.min()))[1])
+    X = np.ldexp(X, -_scale_exponent(X))
     best = np.full(X.shape[0], np.inf)
     labels = np.empty(X.shape[0], dtype=np.int64)
     for j in arch:  # ascending, and only a strictly nearer archetype relabels

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _rng
-from .matrix_io import require_matrix
+from .matrix_io import _scale_exponent, require_matrix
 
 # The kernel's block budget, shared with the solid angles: a block holds at
 # most _BLOCK_BYTES of draws (pursuit) or of scores (solid angles), but no
@@ -56,7 +56,7 @@ _U = 2.0**-53
 _TINY = 2.0**-1074
 _SCORE_LIMIT = 2.0**1022
 
-# Largest binary exponent (as ``math.frexp`` gives it) of max|X| that pursuit
+# Largest exponent of max|X| (``matrix_io._scale_exponent``) that pursuit
 # scores unscaled; see ``_prepared_rows``.
 _MAX_EXPONENT = 960
 
@@ -248,9 +248,9 @@ def _prepared_rows(X, cfg: PursuitConfig) -> np.ndarray:
     scalar max-reduce of max|X| over the workers at partition setup.
     """
     X = require_matrix(X, name="X")
-    if X.shape[0] < 1:
-        raise ValueError("X must have at least one row")
-    exponent = math.frexp(max(X.max(initial=0.0), -X.min(initial=0.0)))[1]
+    if min(X.shape) < 1:
+        raise ValueError(f"X must have at least one {'column' if X.shape[0] else 'row'}")
+    exponent = _scale_exponent(X)
     if exponent > _MAX_EXPONENT:
         X = np.ldexp(X, _MAX_EXPONENT - exponent)
     if cfg.normalize_rows:
@@ -259,7 +259,7 @@ def _prepared_rows(X, cfg: PursuitConfig) -> np.ndarray:
         sq = np.einsum("ij,ij->i", X, X)
         off = ~((sq >= np.finfo(np.float64).tiny) & (sq < np.inf))
         if off.any():
-            X = np.ldexp(X, np.where(off, -np.frexp(np.abs(X).max(axis=1))[1], 0)[:, None])
+            X = np.ldexp(X, np.where(off, -_scale_exponent(X, axis=1), 0)[:, None])
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0  # zero rows stay put
         X = X / norms

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _rng
 from .extreme_points import _BLOCK_BYTES, _MIN_BLOCK, block_optima
-from .matrix_io import _checked_indices, require_matrix
+from .matrix_io import _checked_indices, _scale_exponent, require_matrix
 
 # Monte Carlo blocks share the pursuit kernel's budget (``_BLOCK_BYTES`` and
 # ``_MIN_BLOCK`` of ``extreme_points``): a solid-angle block holds at most
@@ -58,10 +58,10 @@ def estimate_solid_angles(
     [done, done + b) of the ``DOMAIN_ANGLES`` stream: at most 2 MiB of scores
     up to n = 4,096 rows and 512 bytes per row beyond, whatever ``samples``.
 
-    X is first scaled by the power of two that puts max|X| in [0.5, 1).  The
-    scaling is exact and leaves every angle alone; afterwards no score of a
-    finite direction overflows to a false tie, and an X near underflow no
-    longer loses its scores to zero.
+    X is first scaled by 2^-e, e = ``_scale_exponent(X)``.  The scaling is
+    exact and leaves every angle alone; afterwards no score of a finite
+    direction overflows to a false tie, and an X near underflow no longer
+    loses its scores to zero.
 
     Directions are drawn in the row space of X.  The rank r counts the
     singular values above s_0 * max(n, p) * eps; the parts of the rows
@@ -78,11 +78,13 @@ def estimate_solid_angles(
     does not.
     """
     X = require_matrix(X, "X")
-    ext_indices = np.asarray(_checked_indices(ext_indices, X.shape[0]), dtype=np.int64)
+    n, p = X.shape
+    if n < 1:
+        raise ValueError("X must have at least one row")
+    ext_indices = np.asarray(_checked_indices(ext_indices, n), dtype=np.int64)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    n, p = X.shape
-    X = np.ldexp(X, -math.frexp(max(X.max(initial=0.0), -X.min(initial=0.0)))[1])
+    X = np.ldexp(X, -_scale_exponent(X))
     Vr = _row_space(X) if X.any() else None
     Y = X if Vr is None else X @ Vr.T
     r = Y.shape[1]
@@ -180,7 +182,7 @@ def _nearest_in_hull(h, A, what: str) -> tuple[float, np.ndarray]:
     """(alpha, s): distance from h to conv(rows of A) and the hull weights of
     the nearest point, by Wolfe's algorithm as in ``simplicial_constant``;
     a warning names ``what``."""
-    e = math.frexp(max(np.abs(A).max(), np.abs(h).max()))[1]
+    e = _scale_exponent(np.vstack([A, h]))
     B = np.ldexp(A, -e) - np.ldexp(h, -e)
     k, p = B.shape
     G = B @ B.T
@@ -237,9 +239,9 @@ def simplicial_constant(X, ext_indices, i: int) -> float:
 
     Wolfe's minimum-norm-point algorithm (Wolfe 1976, "Finding the nearest
     point in a polytope").  h = x_i and the other rows a_j are scaled exactly
-    by the power of two that puts their max|entry| in [0.5, 1), and
-    b_j = a_j - h; alpha is min ||y|| over y = s B, s in the simplex, scaled
-    back.  The Gram matrix B B^T is formed once.  The walk starts at the
+    by 2^-e, e = ``_scale_exponent`` of them all, and b_j = a_j - h; alpha
+    is min ||y|| over y = s B, s in the simplex, scaled back.  The Gram
+    matrix B B^T is formed once.  The walk starts at the
     nearest row, with the corral (the support of s) holding it alone.  A major
     cycle adds the row j minimizing b_j.y; minor cycles solve
     [[B_F B_F^T, 1], [1^T, 0]] [v; lam] = [0; 1] on the corral F for its

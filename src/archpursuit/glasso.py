@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_io import require_matrix
+from .matrix_io import _scale_exponent, require_matrix
 
 # ||w_i||_2 below this fraction of the largest group norm counts as inactive
 # (absorbs first-order solver fuzz).
@@ -31,8 +31,8 @@ def _column_norms(V: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Euclidean norm of each column of V, without overflow or underflow.
 
     The plain sum of squares is accurate for norms in [2^-500, 2^500]; the
-    columns outside that range are measured again on a copy scaled by the
-    power of two of their largest entry.  A plain norm below 2^-500 means a
+    columns outside that range are measured again on a copy scaled by 2^-e,
+    e = ``_scale_exponent`` of each column.  A plain norm below 2^-500 means a
     true norm below 2^-499, so when ``floor`` >= 2^-499 (the caller only
     needs to know which norms lie under it) such columns are not measured
     again.  When no column needs it, the plain norms return at once.
@@ -43,7 +43,7 @@ def _column_norms(V: np.ndarray, floor: float = 0.0) -> np.ndarray:
         return norms
     odd = ~((norms <= 2.0**500) & (norms >= low))
     sub = V[:, odd]
-    e = np.frexp(np.abs(sub).max(axis=0, initial=0.0))[1]
+    e = _scale_exponent(sub, axis=0)
     norms[odd] = np.ldexp(np.linalg.norm(np.ldexp(sub, -e), axis=0), e)
     return norms
 

@@ -34,6 +34,14 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _scale_exponent(a: np.ndarray, axis: int | None = None):
+    """The one scale rule: the e that puts max|a| * 2^-e (per slice along
+    ``axis``) in [0.5, 1), or 0 for an empty or zero array.  a * 2^-e is exact
+    unless it underflows, so a solve on it gives the same bits for any a * 2^s."""
+    e = np.frexp(np.maximum(a.max(axis=axis, initial=0.0), -a.min(axis=axis, initial=0.0)))[1]
+    return int(e) if axis is None else e
+
+
 def _checked_indices(indices, n: int) -> list[int]:
     """indices as ints, each a distinct row index of an n-row matrix."""
     out = [int(j) for j in indices]

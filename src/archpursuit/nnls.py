@@ -17,18 +17,20 @@ nothing: lstsq would return the unique solution LU returns, up to rounding.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_io import require_matrix
+from .matrix_io import _scale_exponent, require_matrix
 
 
 @dataclass(frozen=True)
 class NnlsSolution:
     """W >= 0 entrywise; residual = ||X - W H||_F and relative_residual =
-    residual / ||X||_F (residual itself when X = 0)."""
+    residual / ||X||_F (residual itself when X = 0); kkt in X's units squared,
+    and converged iff kkt <= tol * 4^e (see ``nnls_fit``)."""
 
     W: np.ndarray
     residual: float
@@ -72,14 +74,15 @@ def _lawson_hanson(H, v, tol: float, rounds: int):
 
 
 def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
-    """Fit W >= 0 minimizing 0.5*||X - W H||_F^2, to KKT sup-norm <= tol.
+    """Fit W >= 0 minimizing 0.5*||X - W H||_F^2, to KKT sup-norm <= tol * 4^e.
 
     Parameters
     ----------
     X : (n, p) data matrix.
     H : (k, p) archetype rows.  A zero row of H is permitted; its coefficient
         column stays at zero and a RuntimeWarning is emitted.
-    tol : target for max |min(W, (W H - X) H^T)|.
+    tol : target for max |min(W, (W H - X) H^T)| on X and H scaled by 2^-e,
+        e = ``_scale_exponent(H)``: W is the same for X and H times any 2^s.
     max_iter : cap on pivoting rounds; max_iter=0 returns W = 0.
 
     Notes
@@ -97,7 +100,7 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
     rounds, Lawson-Hanson ones included; ``residual`` is ||X - W H||_F,
     formed once here so that callers need not form X - W H again, and
     ``NnlsSolution.kkt`` is the certificate max |min(W, (W H - X) H^T)| of
-    the same product, zero iff W is optimal.
+    the same product, zero iff W is optimal; both are scaled back exactly.
     """
     X = require_matrix(X, "X")
     H = require_matrix(H, "H")
@@ -105,6 +108,8 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
     k = H.shape[0]
     if k < 1 or H.shape[1] != p:
         raise ValueError(f"H must be k x {p} with k >= 1, got {H.shape}")
+    e = _scale_exponent(H)
+    X, H = (np.ldexp(X, -e), np.ldexp(H, -e)) if e else (X, H)
 
     zero_rows = np.flatnonzero(np.linalg.norm(H, axis=1) == 0.0)
     if zero_rows.size:
@@ -161,5 +166,5 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
     R = W @ H - X
     res, norm_x = float(np.linalg.norm(R)), float(np.linalg.norm(X))
     rel = res / (norm_x if norm_x > 0 else 1.0)
-    kkt = float(np.abs(np.minimum(W, R @ H.T)).max())
-    return NnlsSolution(W, res, rel, max(iterations, finished_at), bool(kkt <= tol), kkt)
+    kkt, its = float(np.abs(np.minimum(W, R @ H.T)).max()), max(iterations, finished_at)
+    return NnlsSolution(W, math.ldexp(res, e), rel, its, kkt <= tol, math.ldexp(kkt, 2 * e))

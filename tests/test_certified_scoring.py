@@ -17,12 +17,11 @@ from archpursuit import (
     ExecutionTrace,
     Partition,
     PursuitConfig,
-    block_optima,
     gen_uniform_separable,
-    linear_scores,
     pursue,
     run_distributed,
 )
+from archpursuit.extreme_points import block_optima, linear_scores
 from archpursuit._rng import functionals
 
 SCALES = (1.0, 1.0, 2.0**1000, 2.0**-1000, 2.0**-1060)

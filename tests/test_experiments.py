@@ -25,6 +25,7 @@ from archpursuit import (
 from archpursuit import experiments
 from archpursuit.experiments import noise_cell, recovery_fraction
 from archpursuit.extreme_points import PursuitConfig, pursue
+from archpursuit.matrix_io import _scale_exponent
 
 
 def test_recovery_fraction_easy_cell():
@@ -168,6 +169,8 @@ def test_classify_tie_breaks_to_lowest_index():
     labels = classify_rows(X, [0, 1])
     assert labels[2] == 0  # row 2 is exactly distance 1 from both archetypes
     assert (classify_rows(X, [1, 0]) == labels).all()
+    # In R^0 every row ties with every archetype.
+    assert classify_rows(np.empty((4, 0)), [3, 1]).tolist() == [1, 1, 1, 1]
 
 
 FIVE_ROWS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.9, 0.1], [0.1, 0.8]])
@@ -375,7 +378,8 @@ def test_noise_cell_keeps_every_row_without_warning_when_select_k_covers_the_fin
         inst_seed, run_seed = experiments._trial_seeds(4, t)
         X = gen_noisy_pairs(40, 5, epsilon, inst_seed)
         found = list(pursue(X, PursuitConfig(m=30, seed=run_seed)).indices)
-        expected.append((X.tobytes(), found))
+        # The trial scales its own X once, before selection and the fit.
+        expected.append((np.ldexp(X, -_scale_exponent(X)).tobytes(), found))
     select_k = max(len(rows) for _, rows in expected)
     noise_cell(5, 40, 30, epsilon, 3, seed=4, select_k=select_k, selector=selector)
     assert sorted(fitted) == sorted(expected)

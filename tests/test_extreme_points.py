@@ -129,8 +129,12 @@ def test_normalize_rows_far_from_unit_scale():
 
 
 def test_empty_matrix_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one row"):
         pursue(np.empty((0, 3)), PursuitConfig(m=1))
+    for run in (lambda X: pursue(X, PursuitConfig(m=1)),
+                lambda X: run_distributed(X, Partition.contiguous(4, 2), PursuitConfig(m=1))):
+        with pytest.raises(ValueError, match="at least one column"):
+            run(np.empty((4, 0)))
 
 
 def test_config_validation():
