@@ -21,7 +21,6 @@ and H alone (see ``distributed_weights``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +82,7 @@ class ExecutionTrace:
     """Pass and communication accounting for a distributed run.
 
     ``rescored_rows`` counts, per worker, the rows that pursuit re-scored on
-    the per-row path, summed over functional blocks.
+    the per-row path, summed over functional blocks and row tiles.
     """
 
     passes: int = 0
@@ -146,9 +145,7 @@ def distributed_weights(
     ``NnlsSolution``, whose ``residual`` a caller reads instead of forming
     X - W H again.  The pass records 0 bytes sent, so ``bytes_sent`` stays
     pursuit's alone; the n * k * 8 bytes of X H^T are not counted yet.  A fit
-    that ends above ``tol`` on ``nnls_fit``'s scaled problem (it hit
-    ``max_iter``) emits one RuntimeWarning with its KKT residual in X's units
-    squared and ``max_iter``; W is still returned.  An empty H_rows, or a
+    that stops short warns (see ``nnls_fit``).  An empty H_rows, or a
     negative, out-of-range or repeated index, raises ValueError.
     """
     X = require_matrix(X, "X")
@@ -160,13 +157,6 @@ def distributed_weights(
             f"partition covers {part.n_rows} rows but X has {X.shape[0]}"
         )
     sol = nnls_fit(X, X[H_rows], tol=tol, max_iter=max_iter)
-    if not sol.converged:
-        warnings.warn(
-            f"NNLS stopped at KKT {sol.kkt:.3g} (X's units squared), above tol={tol:g} on X "
-            f"and H scaled to max|H| in [0.5, 1), after max_iter={max_iter} iterations",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     if trace is not None:
         trace.record_pass(part, 0)
     return sol

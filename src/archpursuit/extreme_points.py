@@ -11,21 +11,24 @@ row's score differently depending on the block shape, so its winners are
 certified: a per-column rounding-error bound keeps as candidates only the
 rows that could still be the exact per-row winner, and those few rows are
 re-scored with the partition-independent per-row path (``linear_scores``).
-Winners, tie-breaks and winning values therefore equal those of per-row
-scoring of the whole block bit for bit (see ``block_optima``).
+Winners and tie-breaks therefore equal those of per-row scoring of the whole
+block bit for bit (see ``_merge_optima``).
 
-One driver, ``_pursue_shards``, runs every pursuit: rounds of m functionals,
-one round for a fixed budget or until ``patience`` rounds in a row find
-nothing new, each scored by the one kernel ``_tally_block``, which finds
-each row shard's (worker's) optima and merges them.  ``pursue`` is the
-one-shard case and ``distributed.run_distributed`` gives one shard per
-worker, so they agree by construction, votes included.
+One kernel, ``_merge_optima``, scores a block of directions on row tiles
+and merges the tiles' optima, as a cluster merges its workers'.  Pursuit
+(``_pursue_shards``: rounds of m functionals, one round for a fixed budget
+or until ``patience`` rounds in a row find nothing new, each block tallied
+by ``_tally_block``) and the Monte Carlo solid angles of ``geometry`` both
+run on it.  ``pursue`` is the one-shard case and
+``distributed.run_distributed`` gives one shard per worker, so they agree by
+construction, votes included.
 
 Blocks are sized by bytes, not by count: a round of m functionals is split
 into the fewest blocks of equal width whose draws (p x width float64) fit
 ``_BLOCK_BYTES`` = 2 MiB, from 64 to 512 functionals wide (64 above
-p = 4,096).  The solid angles bound their scores by the same budget.  The
-rule depends on p and m alone, so every partition scores the same blocks.
+p = 4,096).  The rule depends on p and m alone, so every partition scores
+the same blocks.  Each shard is cut once per run into row tiles whose scores
+at that width fit ``_TILE_BYTES``, so working memory does not grow with n.
 """
 
 from __future__ import annotations
@@ -33,21 +36,21 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import _rng
 from .matrix_io import _scale_exponent, require_matrix
 
-# The kernel's block budget, shared with the solid angles: a block holds at
-# most _BLOCK_BYTES of draws (pursuit) or of scores (solid angles), but no
-# fewer than _MIN_BLOCK functionals or pairs, as narrower blocks cost 1.5-7x
-# more per score in the column reductions of ``block_optima``.  Pursuit
-# blocks are at most _MAX_BLOCK wide (see ``_block_width``).
+# The kernel's budgets: a block holds at most _BLOCK_BYTES of draws, but no
+# fewer than _MIN_BLOCK and no more than _MAX_BLOCK directions, as narrower
+# blocks cost 1.5-7x more per score in the column reductions (see
+# ``_block_width``); a row tile holds at most _TILE_BYTES of scores at the
+# block width, but at least one row (see ``_tiles``).
 _BLOCK_BYTES = 2**21
 _MIN_BLOCK = 64
 _MAX_BLOCK = 512
+_TILE_BYTES = 2**24
 
 # Unit roundoff of float64, its smallest subnormal (one rounding in the
 # subnormal range errs by at most half of it), and the score magnitude from
@@ -118,23 +121,10 @@ def linear_scores(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
     Computed as a stack of per-row products so every row's scores are bitwise
     identical no matter which other rows are passed with it; a plain gemm
     re-blocks by shape and may differ in the last ulp between a slice and the
-    full matrix.  This is the exact reference that ``block_optima`` reproduces
-    and the path it re-scores its candidate rows on.
+    full matrix.  This is the exact reference that ``_merge_optima``
+    reproduces and the path it re-scores its candidate rows on.
     """
     return np.matmul(rows[:, None, :], G)[:, 0, :]
-
-
-class BlockOptima(NamedTuple):
-    """Per-functional winners of one block, as ``linear_scores`` would give them.
-
-    ``rescored`` is the number of rows scored on the per-row path.
-    """
-
-    max_idx: np.ndarray
-    max_val: np.ndarray
-    min_idx: np.ndarray
-    min_val: np.ndarray
-    rescored: int
 
 
 def _row_bound(X: np.ndarray) -> float:
@@ -188,7 +178,7 @@ def _candidate_rows(X: np.ndarray, G: np.ndarray, rho: float) -> np.ndarray | No
     result unchanged near overflow.
 
     ``rho`` is ``_row_bound(X)``, sqrt(q_X + 2p*eta); it depends on X alone,
-    so pursuit takes it once per shard rather than once per block.
+    so ``_tiles`` takes it once per row tile rather than once per block.
     """
     p = X.shape[1]
     S = X @ G
@@ -206,33 +196,55 @@ def _candidate_rows(X: np.ndarray, G: np.ndarray, rho: float) -> np.ndarray | No
     return np.flatnonzero(candidate.any(axis=1))
 
 
-def block_optima(X: np.ndarray, G: np.ndarray) -> BlockOptima:
-    """Per-column argmax/argmin of linear_scores(X, G), with the winning values.
+def _tiles(shards, width: int) -> list:
+    """One (d, rows of X, their sorted global indices, ``_row_bound`` of the
+    rows) tuple per row tile of each shard d, an empty shard having none.
 
-    Bitwise equal to ``argmax``/``argmin`` of ``linear_scores(X, G)`` along
-    axis 0 and the scores gathered there, lowest row index on ties, but
-    computed with one gemm plus a per-row re-score of the candidate rows
-    (see ``_candidate_rows``).  X must have at least one row.
+    ``shards`` holds one (local rows of X, their sorted global indices) pair
+    per worker.  A tile holds the most rows whose scores at ``width`` fit
+    _TILE_BYTES, and at least one.
     """
-    return _block_optima(X, G, _row_bound(X))
+    step = max(1, _TILE_BYTES // (8 * width))
+    return [
+        (d, X[i : i + step], rows[i : i + step], _row_bound(X[i : i + step]))
+        for d, (X, rows) in enumerate(shards)
+        for i in range(0, rows.size, step)
+    ]
 
 
-def _block_optima(X: np.ndarray, G: np.ndarray, rho: float) -> BlockOptima:
-    """``block_optima`` with the row bound rho = ``_row_bound(X)`` given."""
-    rows = _candidate_rows(X, G, rho)
-    if rows is None or rows.size == X.shape[0]:
-        rows = np.arange(X.shape[0])
-        R = linear_scores(X, G)
-    else:
-        R = linear_scores(X[rows], G)
-    # Every row that could win a column is in ``rows``, and every score in R
-    # is exact, so a plain argmax over R finds each column's winner.  Rows
-    # kept only for other columns score no higher than that winner.  ``rows``
-    # is sorted, so the first occurrence is still the lowest global index.
-    cols = np.arange(G.shape[1])
-    imax = np.argmax(R, axis=0)
-    imin = np.argmin(R, axis=0)
-    return BlockOptima(rows[imax], R[imax, cols], rows[imin], R[imin, cols], int(rows.size))
+def _merge_optima(tiles, G: np.ndarray, rescored) -> np.ndarray:
+    """Global argmax (row 0) and argmin (row 1) of every column of G over the
+    row tiles of ``_tiles``, equal to those of ``linear_scores`` on all rows.
+
+    Each tile's optima come from one gemm plus a per-row re-score of its
+    candidate rows (see ``_candidate_rows``).  The merge keeps per column the
+    highest max and the lowest min, the lowest global row index on exact
+    ties.  Every value is a per-row score, so the result does not depend on
+    how the rows are cut into shards or tiles.  ``rescored[d]`` accumulates
+    the rows that the tiles of shard d re-scored per row.
+    """
+    best = winners = None
+    for d, X, rows, rho in tiles:
+        cand = _candidate_rows(X, G, rho)
+        if cand is None or cand.size == X.shape[0]:
+            cand, R = np.arange(X.shape[0]), linear_scores(X, G)
+        else:
+            R = linear_scores(X[cand], G)
+        rescored[d] += cand.size
+        # Every row that could win a column is in ``cand``, and every score
+        # in R is exact, so a plain argmax over R finds each column's winner:
+        # rows kept only for other columns score no higher.  ``cand`` is
+        # sorted, so the first one is the lowest index.  The min side is the
+        # max of the negated scores; negation is exact.
+        local = np.stack([R.argmax(axis=0), R.argmin(axis=0)])
+        val = np.take_along_axis(R, local, axis=0)
+        val[1] = -val[1]
+        win = rows[cand[local]]
+        if best is not None:
+            keep = (best > val) | ((best == val) & (winners < win))
+            val, win = np.where(keep, best, val), np.where(keep, winners, win)
+        best, winners = val, win
+    return winners
 
 
 def _prepared_rows(X, cfg: PursuitConfig) -> np.ndarray:
@@ -266,28 +278,10 @@ def _prepared_rows(X, cfg: PursuitConfig) -> np.ndarray:
     return X
 
 
-def _tally_block(live, seed: int, first: int, count: int, counts: np.ndarray, rescored):
-    """Score functionals [first, first+count) on every shard and add the votes.
-
-    ``live`` holds one (d, local rows of X, their sorted global indices,
-    ``_row_bound`` of the local rows) tuple per nonempty shard d.  G is
-    generated once, ``block_optima`` finds each shard's optima, and the merge
-    keeps per functional the highest max and the lowest min, the lowest
-    global row index on exact ties.  Every value is a per-row score, so the
-    votes do not depend on the partition.  ``rescored[d]`` accumulates the
-    rows shard d re-scored per row.
-    """
-    G = _rng.functionals(seed, first, count, live[0][1].shape[1])
-    values, winners = [], []
-    for d, X_local, rows, rho in live:
-        best = _block_optima(X_local, G, rho)
-        rescored[d] += best.rescored
-        # The min side is the max of the negated scores; negation is exact.
-        values.append((best.max_val, -best.min_val))
-        winners.append((rows[best.max_idx], rows[best.min_idx]))
-    values, winners = np.array(values), np.array(winners)
-    tied = values == values.max(axis=0)
-    np.add.at(counts, np.where(tied, winners, counts.size).min(axis=0).ravel(), 1)
+def _tally_block(tiles, seed: int, first: int, count: int, counts: np.ndarray, rescored):
+    """Score functionals [first, first+count) on the row tiles and add the votes."""
+    G = _rng.functionals(seed, first, count, tiles[0][1].shape[1])
+    np.add.at(counts, _merge_optima(tiles, G, rescored).ravel(), 1)
 
 
 def _block_width(p: int, m: int) -> int:
@@ -305,21 +299,21 @@ def _pursue_shards(shards, cfg: PursuitConfig, rescored) -> ExtremeSet:
     """Rounds of cfg.m functionals over the row shards, as cfg.patience asks.
 
     ``shards`` holds one (local rows of X, their sorted global indices) pair
-    per worker.  Round r scores functionals [r*m, (r+1)*m) with
-    ``_tally_block``, in blocks of ``_block_width(p, m)``, which never depends
-    on the partition.  Each shard's row bound is taken once.  Votes from
+    per worker, cut once into row tiles (``_tiles``).  Round r scores
+    functionals [r*m, (r+1)*m) with ``_tally_block``, in blocks of
+    ``_block_width(p, m)``, which never depends on the partition.  Votes from
     every round, the stopping rounds included, are tallied, so a run of r
     rounds equals one round of r*m functionals and r is sum(votes) / (2m).
     """
     counts = np.zeros(sum(rows.size for _, rows in shards), dtype=np.int64)
-    live = [(d, X, rows, _row_bound(X)) for d, (X, rows) in enumerate(shards) if rows.size]
-    width = _block_width(live[0][1].shape[1], cfg.m)
+    width = _block_width(shards[0][0].shape[1], cfg.m)
+    tiles = _tiles(shards, width)
     first, idle = 0, 0
     while True:
         before = np.count_nonzero(counts)
         for start in range(first, first + cfg.m, width):
             count = min(width, first + cfg.m - start)
-            _tally_block(live, cfg.seed, start, count, counts, rescored)
+            _tally_block(tiles, cfg.seed, start, count, counts, rescored)
         first += cfg.m
         if cfg.patience is None:
             break

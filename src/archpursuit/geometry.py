@@ -7,9 +7,9 @@ one.  The number of random functionals needed to find everything scales like
 kappa * log(k/delta) with kappa = 1 / log(1 / max_i(1 - 2*omega_i)).
 
 The Monte Carlo estimate scores antithetic pairs (z, -z) with the pursuit
-kernel and draws z in the row space of X: a score z.x_i sees only the part of
-z inside that space, so a rank-r X needs draws in R^r (see
-``estimate_solid_angles``).
+kernel, in its blocks and row tiles, so its memory does not grow with n.  It
+draws z in the row space of X: a score z.x_i sees only the part of z inside
+that space, so a rank-r X needs draws in R^r (see ``estimate_solid_angles``).
 
 The simplicial constant alpha_i, the distance from extreme point i to the
 hull of the others, is found by Wolfe's minimum-norm-point algorithm, which
@@ -26,12 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .extreme_points import _BLOCK_BYTES, _MIN_BLOCK, block_optima
+from .extreme_points import _block_width, _merge_optima, _tiles
 from .matrix_io import _checked_indices, _scale_exponent, require_matrix
-
-# Monte Carlo blocks share the pursuit kernel's budget (``_BLOCK_BYTES`` and
-# ``_MIN_BLOCK`` of ``extreme_points``): a solid-angle block holds at most
-# that many bytes of scores, but never fewer than _MIN_BLOCK pairs.
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +41,7 @@ def estimate_solid_angles(
 
     ceil(samples / 2) antithetic pairs (z, -z) of Gaussian directions (an
     odd ``samples`` draws one extra direction) are scored by the pursuit
-    kernel ``block_optima``: the argmax row wins z and the argmin row wins
+    kernel ``_merge_optima``: the argmax row wins z and the argmin row wins
     -z, the lowest row index on ties.  So omega_hat_i = wins_i / (2 pairs)
     sums to exactly 1 over all rows, a duplicate leaves its angle to its
     first copy, and a one-point hull gets omega = 1.  The standard error is
@@ -53,10 +49,6 @@ def estimate_solid_angles(
     y = (1[max = i] + 1[min = i]) / 2.  Returns (omega_hat, standard_errors)
     aligned with ext_indices; a row that is not extreme estimates to zero.
     A negative, out-of-range or repeated index raises ValueError.
-
-    A block scores b = max(_MIN_BLOCK, _BLOCK_BYTES // 8n) pairs, rows
-    [done, done + b) of the ``DOMAIN_ANGLES`` stream: at most 2 MiB of scores
-    up to n = 4,096 rows and 512 bytes per row beyond, whatever ``samples``.
 
     X is first scaled by 2^-e, e = ``_scale_exponent(X)``.  The scaling is
     exact and leaves every angle alone; afterwards no score of a finite
@@ -79,8 +71,8 @@ def estimate_solid_angles(
     """
     X = require_matrix(X, "X")
     n, p = X.shape
-    if n < 1:
-        raise ValueError("X must have at least one row")
+    if min(n, p) < 1:
+        raise ValueError(f"X must have at least one {'column' if n else 'row'}")
     ext_indices = np.asarray(_checked_indices(ext_indices, n), dtype=np.int64)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -89,14 +81,15 @@ def estimate_solid_angles(
     Y = X if Vr is None else X @ Vr.T
     r = Y.shape[1]
     pairs = -(-samples // 2)
-    block = max(_MIN_BLOCK, _BLOCK_BYTES // (8 * n))
+    width = _block_width(r, pairs)
+    tiles = _tiles([(Y, np.arange(n))], width)
     wins = np.zeros(n, dtype=np.int64)
     both = np.zeros(n, dtype=np.int64)  # pairs won at both ends (all rows tie)
-    for done in range(0, pairs, block):
-        Z = _rng.gaussian_rows(seed, _rng.DOMAIN_ANGLES, done, min(block, pairs - done), r)
-        best = block_optima(Y, Z.T)
-        wins += np.bincount(best.max_idx, minlength=n) + np.bincount(best.min_idx, minlength=n)
-        both += np.bincount(best.max_idx[best.max_idx == best.min_idx], minlength=n)
+    for done in range(0, pairs, width):
+        Z = _rng.gaussian_rows(seed, _rng.DOMAIN_ANGLES, done, min(width, pairs - done), r)
+        top, bottom = _merge_optima(tiles, Z.T, [0])
+        wins += np.bincount(top, minlength=n) + np.bincount(bottom, minlength=n)
+        both += np.bincount(top[top == bottom], minlength=n)
     wins, both = wins[ext_indices], both[ext_indices]
     # sum y = wins / 2 and sum y^2 = wins / 4 + both / 2, so 4 pairs^3 se^2 =
     # pairs (wins + 2 both) - wins^2, an exact integer and never negative.

@@ -101,6 +101,9 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
     formed once here so that callers need not form X - W H again, and
     ``NnlsSolution.kkt`` is the certificate max |min(W, (W H - X) H^T)| of
     the same product, zero iff W is optimal; both are scaled back exactly.
+    A fit that ends above ``tol`` on the scaled problem (``converged`` is
+    False) emits one RuntimeWarning with that KKT and ``max_iter``; W is
+    still returned.
     """
     X = require_matrix(X, "X")
     H = require_matrix(H, "H")
@@ -167,4 +170,12 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
     res, norm_x = float(np.linalg.norm(R)), float(np.linalg.norm(X))
     rel = res / (norm_x if norm_x > 0 else 1.0)
     kkt, its = float(np.abs(np.minimum(W, R @ H.T)).max()), max(iterations, finished_at)
+    if kkt > tol:
+        warnings.warn(
+            f"NNLS stopped at KKT {math.ldexp(kkt, 2 * e):.3g} (X's units squared), above "
+            f"tol={tol:g} on X and H scaled to max|H| in [0.5, 1), after max_iter={max_iter} "
+            "iterations",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return NnlsSolution(W, math.ldexp(res, e), rel, its, kkt <= tol, math.ldexp(kkt, 2 * e))

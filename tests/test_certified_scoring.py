@@ -1,11 +1,15 @@
-"""Certified-gemm scoring: block_optima equals per-row scoring bit for bit.
+"""Certified-gemm scoring: the merge over row tiles equals per-row scoring
+bit for bit.
 
 Property tests on hostile blocks (duplicate rows, exact ties, rows one ulp
 apart, clouds of rows whose scores differ by about as much as two summation
 orders do, n=1, p in {1, 2}, zero X, X scaled by 2^1000, 2^-1000 and
-2^-1060), and serial pursuit against distributed pursuit on random
-non-contiguous partitions that include empty workers.
+2^-1060), in one tile and in one-row tiles, and serial pursuit against
+distributed pursuit on random non-contiguous partitions that include empty
+workers.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +25,8 @@ from archpursuit import (
     pursue,
     run_distributed,
 )
-from archpursuit.extreme_points import block_optima, linear_scores
+from archpursuit import extreme_points
+from archpursuit.extreme_points import _merge_optima, _tiles, linear_scores
 from archpursuit._rng import functionals
 
 SCALES = (1.0, 1.0, 2.0**1000, 2.0**-1000, 2.0**-1060)
@@ -33,9 +38,7 @@ ENTRIES = st.one_of(
 
 def reference(X, G):
     R = linear_scores(X, G)
-    cols = np.arange(G.shape[1])
-    imax, imin = R.argmax(axis=0), R.argmin(axis=0)
-    return imax, R[imax, cols], imin, R[imin, cols]
+    return np.stack([R.argmax(axis=0), R.argmin(axis=0)])
 
 
 def ulp_cloud(base, steps):
@@ -45,12 +48,16 @@ def ulp_cloud(base, steps):
 
 
 def assert_bitwise_reference(X, G):
-    got = block_optima(X, G)
+    """The merge equals per-row scoring in one tile, re-scoring at least one
+    row, and in one-row tiles, where each tile re-scores its row."""
     want = reference(X, G)
-    for g, w in zip(got[:4], want):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-    assert 1 <= got.rescored <= X.shape[0]
-    return got
+    n = X.shape[0]
+    for budget in (extreme_points._TILE_BYTES, 1):
+        rescored = [0]
+        with mock.patch.object(extreme_points, "_TILE_BYTES", budget):
+            got = _merge_optima(_tiles([(X, np.arange(n))], G.shape[1]), G, rescored)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert 1 <= rescored[0] <= n if budget > 1 else rescored[0] == n
 
 
 @st.composite
@@ -124,9 +131,15 @@ def test_serial_equals_distributed_on_random_partitions(data):
     part = Partition(n, tuple(np.flatnonzero(labels == w) for w in range(workers)))
     cfg = PursuitConfig(m=data.draw(st.integers(1, 40)), seed=data.draw(st.integers(0, 99)))
     trace = ExecutionTrace()
-    assert run_distributed(X, part, cfg, trace) == pursue(X, cfg)
+    es = pursue(X, cfg)
+    assert run_distributed(X, part, cfg, trace) == es
     for w, rows in enumerate(part.assignment):
         assert trace.rescored_rows[w] <= rows.size
+    # One-row tiles: each tile re-scores its own row, once per block.
+    trace = ExecutionTrace()
+    with mock.patch.object(extreme_points, "_TILE_BYTES", 1):
+        assert run_distributed(X, part, cfg, trace) == es
+    assert trace.rescored_rows == {w: rows.size for w, rows in enumerate(part.assignment)}
 
 
 def test_empty_workers_in_a_scattered_partition():

@@ -176,6 +176,7 @@ def blocked_votes(X, m, seed, budget, floor):
 def test_small_byte_budgets_keep_distributed_equal_to_serial(data):
     # A budget of a few bytes puts tiny p at the width floor, and m past it
     # splits into uneven blocks; integer rows give exact ties and duplicates.
+    # A tile budget below one row's scores cuts every shard into one-row tiles.
     n = data.draw(st.integers(1, 10))
     p = data.draw(st.integers(1, 3))
     X = data.draw(arrays(np.float64, (n, p), elements=st.integers(-2, 2).map(float)))
@@ -187,11 +188,12 @@ def test_small_byte_budgets_keep_distributed_equal_to_serial(data):
     m = data.draw(st.integers(1, 300))
     budget = data.draw(st.integers(8, 8 * p * 600))
     floor = data.draw(st.sampled_from([1, 2, 7, 64]))
+    tile = data.draw(st.one_of(st.just(1), st.integers(8, 8 * 512 * n)))
     seed = data.draw(st.integers(0, 2**32))
     cfg = PursuitConfig(m=m, seed=seed)
     with mock.patch.object(extreme_points, "_BLOCK_BYTES", budget), mock.patch.object(
         extreme_points, "_MIN_BLOCK", floor
-    ):
+    ), mock.patch.object(extreme_points, "_TILE_BYTES", tile):
         es = run_distributed(X, part, cfg)
         assert es == pursue(X, cfg)
     assert es.votes == blocked_votes(X, m, seed, budget, floor)
@@ -329,7 +331,8 @@ def test_distributed_weights_warns_on_a_positive_cap(seed):
     rows = [0, 1, 2, 20, 21, 22, 40, 41]
     full = nnls_fit(X, X[rows])
     assert full.converged and full.iterations > 2
-    capped = nnls_fit(X, X[rows], max_iter=2)
+    with pytest.warns(RuntimeWarning, match=r"^NNLS stopped at KKT .*max_iter=2 "):
+        capped = nnls_fit(X, X[rows], max_iter=2)
     assert not capped.converged and capped.iterations == 2
     with pytest.warns(RuntimeWarning, match=r"^NNLS stopped at KKT .*max_iter=2 "):
         distributed_weights(X, Partition.contiguous(X.shape[0], 1), rows, max_iter=2)

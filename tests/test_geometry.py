@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from archpursuit import (
     required_m,
     simplicial_constant,
 )
-from archpursuit import _rng
-from archpursuit.extreme_points import _BLOCK_BYTES, _MIN_BLOCK, linear_scores
+from archpursuit import _rng, extreme_points
+from archpursuit.extreme_points import _block_width, linear_scores
 from archpursuit.geometry import _nearest_in_hull, _row_space
 from paper_checks import cap_area_estimate, check_cap_bounds, check_simplicial_lemmas
 from paper_checks import hypercube, needle_simplex, regular_simplex
@@ -116,12 +117,12 @@ def rp_win_counts(X, samples, seed):
     the certified gemm: each antithetic pair (z, -z) drawn in R^p, scored
     against X itself on the per-row path, and won by the argmax (for z) and
     the argmin (for -z), ties to the lowest index.  Pairs are scored in the
-    estimator's blocks, since a per-row product may round a column
-    differently in a block of another width."""
+    estimator's blocks, ``_block_width(p, pairs)`` wide, since a per-row
+    product may round a column differently in a block of another width."""
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
     pairs = -(-samples // 2)
-    block = max(_MIN_BLOCK, _BLOCK_BYTES // (8 * n))
+    block = _block_width(p, pairs)
     wins = np.zeros(n, dtype=np.int64)
     for done in range(0, pairs, block):
         Z = _rng.gaussian_rows(seed, _rng.DOMAIN_ANGLES, done, min(block, pairs - done), p)
@@ -258,6 +259,24 @@ def test_solid_angle_memory_stays_within_a_fixed_block(samples):
     assert abs(omega.sum() - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("run", ["pursue", "angles"])
+def test_scoring_memory_does_not_grow_with_n(run):
+    # At 200,000 rows one block of scores alone would be 820 MB for pursuit
+    # (512 functionals) and 102 MB for the solid angles (64 pairs); row tiles
+    # hold 16 MiB.  The angles' copies of X (scaled, and in its QR) take 10 MB.
+    X = np.random.default_rng(61).standard_normal((200_000, 3))
+    tracemalloc.start()
+    try:
+        if run == "pursue":
+            pursue(X, PursuitConfig(m=1024, seed=62))
+        else:
+            estimate_solid_angles(X, range(3), samples=2_000, seed=62)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak
+
+
 @st.composite
 def hostile_rows(draw):
     """(X, base): rows of a small pool on the 1/8 grid, repeated at random,
@@ -284,6 +303,9 @@ def test_each_end_of_every_pair_has_exactly_one_winner(case, samples, seed):
     assert np.isfinite(se).all() and (se >= 0).all()
     if not base.any() or _row_space(base) is None:  # the draws stay in R^p
         assert np.array_equal(wins, rp_win_counts(base, samples, seed))
+    with mock.patch.object(extreme_points, "_TILE_BYTES", 1):  # one-row tiles
+        tiled = estimate_solid_angles(X, range(n), samples=samples, seed=seed)
+    assert omega.tobytes() == tiled[0].tobytes() and se.tobytes() == tiled[1].tobytes()
 
 
 @st.composite

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls as scipy_nnls
 
-from archpursuit import gen_uniform_separable, nnls_fit
+from archpursuit import gen_noisy_pairs, gen_uniform_separable, nnls_fit
 from paper_checks import kkt_residual
 
 
@@ -59,6 +59,24 @@ def test_kkt_certificate_behaviour():
     bumped = sol.W.copy()
     bumped[0, 0] += 0.1
     assert kkt_residual(inst.X, inst.H, bumped) > base
+
+
+def test_capped_fit_warns_once_and_a_converged_fit_is_silent():
+    # Pivoting needs several rounds here: H holds non-extreme midpoint rows.
+    X = gen_noisy_pairs(1000, 20, 0.01, 0)
+    H = X[[0, 1, 2, 20, 21, 22, 40, 41]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        capped = nnls_fit(X, H, max_iter=2)
+    assert not capped.converged
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert str(caught[0].message) == (
+        f"NNLS stopped at KKT {capped.kkt:.3g} (X's units squared), above tol=1e-08 on X "
+        "and H scaled to max|H| in [0.5, 1), after max_iter=2 iterations"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nnls_fit(X, H).converged
 
 
 def test_row_decomposability():
