@@ -117,9 +117,7 @@ def run_distributed(
     """
     X = _prepared_rows(X, cfg)
     if part.n_rows != X.shape[0]:
-        raise ValueError(
-            f"partition covers {part.n_rows} rows but X has {X.shape[0]}"
-        )
+        raise ValueError(f"partition covers {part.n_rows} rows but X has {X.shape[0]}")
     rescored = [0] * part.n_workers
     es = _pursue_shards([(_local_rows(X, rows), rows) for rows in part.assignment], cfg, rescored)
     if trace is not None:
@@ -131,21 +129,16 @@ def run_distributed(
 
 
 def distributed_weights(
-    X,
-    part: Partition,
-    H_rows,
-    tol: float = 1e-8,
-    max_iter: int = 5000,
-    trace: ExecutionTrace | None = None,
+    X, part: Partition, H_rows, max_iter: int = 5000, trace: ExecutionTrace | None = None
 ) -> NnlsSolution:
     """Fit the weights W for archetypes H = X[H_rows]: the second pass.
 
     The simulation solves every row in one ``nnls_fit`` call, so W depends on
     X and H alone: the same bits on any partition.  Returns that call's
-    ``NnlsSolution``, whose ``residual`` a caller reads instead of forming
-    X - W H again.  The pass records 0 bytes sent, so ``bytes_sent`` stays
-    pursuit's alone; the n * k * 8 bytes of X H^T are not counted yet.  A fit
-    that stops short warns (see ``nnls_fit``).  An empty H_rows, or a
+    ``NnlsSolution``, whose ``converged`` says that W meets the KKT conditions
+    within the rounding of its own gradient; a fit that does not warns.  The
+    pass records 0 bytes sent, so ``bytes_sent`` stays pursuit's alone; the
+    n * k * 8 bytes of X H^T are not counted yet.  An empty H_rows, or a
     negative, out-of-range or repeated index, raises ValueError.
     """
     X = require_matrix(X, "X")
@@ -153,10 +146,8 @@ def distributed_weights(
     if not H_rows:
         raise ValueError("H_rows must be nonempty")
     if part.n_rows != X.shape[0]:
-        raise ValueError(
-            f"partition covers {part.n_rows} rows but X has {X.shape[0]}"
-        )
-    sol = nnls_fit(X, X[H_rows], tol=tol, max_iter=max_iter)
+        raise ValueError(f"partition covers {part.n_rows} rows but X has {X.shape[0]}")
+    sol = nnls_fit(X, X[H_rows], max_iter=max_iter)
     if trace is not None:
         trace.record_pass(part, 0)
     return sol

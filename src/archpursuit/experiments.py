@@ -191,7 +191,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 def _fit_residual_per_row(X: np.ndarray, rows: list[int]) -> float:
     """||X - W X[rows]||_F / n after an NNLS fit against the selected rows."""
-    return nnls_fit(X, X[rows], tol=1e-6, max_iter=2000).residual / X.shape[0]
+    return nnls_fit(X, X[rows]).residual / X.shape[0]
 
 
 def noise_cell(

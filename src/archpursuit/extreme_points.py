@@ -328,11 +328,11 @@ def pursue(X, cfg: PursuitConfig) -> ExtremeSet:
 
     For each functional g_j, the rows attaining max_i x_i.g_j and
     min_i x_i.g_j are recorded (ties broken toward the lowest row index).
-    Every returned index is an extreme point of the convex hull of the rows,
-    except that exact duplicates of an extreme row can also collect votes;
-    rows are not deduplicated.  With cfg.patience set, rounds continue until
-    that many in a row find nothing new.  This is the one-worker case of
-    ``run_distributed``.
+    Every returned index is an extreme point of the convex hull of the rows.
+    Exact duplicates score bitwise alike, so a duplicate of an extreme row
+    leaves its votes to its first copy.  With cfg.patience set, rounds
+    continue until that many in a row find nothing new.  This is the
+    one-worker case of ``run_distributed``.
     """
     X = _prepared_rows(X, cfg)
     return _pursue_shards([(X, np.arange(X.shape[0]))], cfg, [0])

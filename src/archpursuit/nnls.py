@@ -2,17 +2,25 @@
 
 Solves min_{W >= 0} 0.5 * ||X - W H||_F^2 exactly by block principal
 pivoting (Kim & Park 2011), an active-set method of the Lawson-Hanson family,
-on the k x k Gram matrix H H^T.  The problem decomposes over the rows of X,
-and the solver preserves that: each row carries its own passive set and
-pivoting state, and rows that share a passive set are solved together.
+on the k x k Gram matrix H H^T, row by row (see ``nnls_fit``).
 
-Each passive-set system C_FF x_F = D_F is solved by LU when C = H H^T is
-well conditioned, else by min-norm ``np.linalg.lstsq`` (k > p, duplicate or
-zero rows of H).  LU needs cond(C) < 1 / (16 k eps) by the computed
-eigenvalues, whose own rounding the 16 covers.  Cauchy interlacing gives
-cond(C_FF) <= cond(C) < 1 / (k eps) for every principal submatrix, so
-lstsq's cutoff, k_F eps times the top singular value of C_FF, truncates
-nothing: lstsq would return the unique solution LU returns, up to rounding.
+Each passive-set system C_FF x_F = D_F is solved by LU when the computed
+eigenvalues of C = H H^T give cond(C) < 1 / (16 k eps), the 16 covering
+their own rounding, else by min-norm ``np.linalg.lstsq`` (k > p, duplicate
+or zero rows of H).  Cauchy interlacing gives cond(C_FF) < 1 / (k eps), so
+there lstsq's cutoff, k_F eps times the top singular value of C_FF, would
+truncate nothing and return LU's unique solution, up to rounding.
+
+The stop is derived from the rounding, not chosen.  On X and H scaled by
+2^-e, a computed gradient at W, in the Gram form W C - D (C and D formed in
+floating point) or the residual form (W H - X) H^T, errs by at most
+tau_ij = gamma_{p+k+2} (sum_l w_il ||h_l|| + ||x_i||) ||h_j||, plus
+(p + k + 2)(p + 1) 2^-1074 for products that underflow (Higham, Accuracy
+and Stability of Numerical Algorithms, 3.1, with gamma_n = n u / (1 - n u),
+u = 2^-53, and |c_lj| <= ||h_l|| ||h_j||).  An optimal W reads at most tau
+in either form, so pivoting counts a gradient entry within tau as zero.  A
+reading within tau in one form bounds the other form's by 3 tau, so W is
+certified when |min(W, (W H - X) H^T)| <= 3 tau entrywise.
 """
 
 from __future__ import annotations
@@ -29,8 +37,9 @@ from .matrix_io import _scale_exponent, require_matrix
 @dataclass(frozen=True)
 class NnlsSolution:
     """W >= 0 entrywise; residual = ||X - W H||_F and relative_residual =
-    residual / ||X||_F (residual itself when X = 0); kkt in X's units squared,
-    and converged iff kkt <= tol * 4^e (see ``nnls_fit``)."""
+    residual / ||X||_F (residual itself when X = 0); kkt is the certificate
+    max |min(W, (W H - X) H^T)| in X's units squared, and converged is true
+    iff each of its entries is within 3 tau (see the module docstring)."""
 
     W: np.ndarray
     residual: float
@@ -40,19 +49,27 @@ class NnlsSolution:
     kkt: float
 
 
-def _lawson_hanson(H, v, tol: float, rounds: int):
+def _stop_bound(W, x_norms, h_norms, p: int) -> np.ndarray:
+    """tau of the module docstring for each entry of W (one row or a block)."""
+    nu = (p + h_norms.size + 2) * 2.0**-53
+    floor = (p + h_norms.size + 2) * (p + 1) * 2.0**-1074
+    return (nu / (1.0 - nu)) * (W @ h_norms + x_norms)[..., None] * h_norms + floor
+
+
+def _lawson_hanson(H, v, h_norms, rounds: int):
     """Lawson-Hanson for one row: min 0.5 * ||v - x H||^2 over x >= 0.
 
-    Each round adds the index of the lowest gradient entry below -tol, then
-    steps back toward the passive least-squares solution until it is
-    positive.  The passive rows of H stay independent, so it cannot cycle
-    when H H^T is singular.  Solves use H, not H H^T.  Returns x and the
-    rounds used.
+    Each round adds the index of the lowest residual-form gradient entry
+    below -tau, then steps back toward the passive least-squares solution,
+    solved with H, until it is positive.  The passive rows of H stay
+    independent, so it cannot cycle when H H^T is singular.  Returns x and
+    the rounds used.
     """
     x, F, f = np.zeros(len(H)), np.zeros(len(H), dtype=bool), 0.5 * (v @ v)
+    v_norm = np.linalg.norm(v)
     for r in range(rounds):
         y = np.where(F, 0.0, (x @ H - v) @ H.T)
-        if y.min() >= -tol:
+        if (y >= -_stop_bound(x, v_norm, h_norms, H.shape[1])).all():
             return x, r
         F[np.argmin(y)] = True
         while F.any():
@@ -73,72 +90,61 @@ def _lawson_hanson(H, v, tol: float, rounds: int):
     return x, rounds
 
 
-def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
-    """Fit W >= 0 minimizing 0.5*||X - W H||_F^2, to KKT sup-norm <= tol * 4^e.
+def nnls_fit(X, H, max_iter: int = 5000) -> NnlsSolution:
+    """Fit W >= 0 minimizing 0.5*||X - W H||_F^2, certified to rounding level.
 
     Parameters
     ----------
     X : (n, p) data matrix.
     H : (k, p) archetype rows.  A zero row of H is permitted; its coefficient
         column stays at zero and a RuntimeWarning is emitted.
-    tol : target for max |min(W, (W H - X) H^T)| on X and H scaled by 2^-e,
-        e = ``_scale_exponent(H)``: W is the same for X and H times any 2^s.
     max_iter : cap on pivoting rounds; max_iter=0 returns W = 0.
 
     Notes
     -----
-    Block principal pivoting on C = H H^T and D = X H^T.  Each row keeps a
-    passive set F; x solves C_FF x_F = D_F (by LU or min-norm, see the
-    module docstring), x = 0 off F, and y = x C - D.  A round exchanges all
-    infeasible indices (x < 0 on F, y < -tol off F) of each unfinished row
+    X and H are first scaled by 2^-e, e = ``_scale_exponent(H)``, so W is
+    the same for X and H times any 2^s.  Block principal pivoting on
+    C = H H^T and D = X H^T: each row keeps a passive set F; x solves
+    C_FF x_F = D_F, x = 0 off F, and y = x C - D.  A round exchanges all
+    infeasible indices (x < 0 on F, y < -tau off F) of each unfinished row
     while their count keeps falling and for three rounds after; rows that
-    share F share one multi-right-hand-side solve.  A row whose exchanges
-    stall then finishes by Lawson-Hanson, which, unlike Murty's
-    single-exchange rule, cannot cycle when k > p.  A row stops once nothing
-    is infeasible or the Gram-form KKT of max(x, 0) is <= tol, so rounding
-    noise cannot keep it flipping.  W = max(x, 0); ``iterations`` counts
-    rounds, Lawson-Hanson ones included; ``residual`` is ||X - W H||_F,
-    formed once here so that callers need not form X - W H again, and
-    ``NnlsSolution.kkt`` is the certificate max |min(W, (W H - X) H^T)| of
-    the same product, zero iff W is optimal; both are scaled back exactly.
-    A fit that ends above ``tol`` on the scaled problem (``converged`` is
-    False) emits one RuntimeWarning with that KKT and ``max_iter``; W is
-    still returned.
+    share F share one solve.  A row stops once nothing is infeasible or its
+    Gram-form KKT is within tau.  A row whose residual-form KKT then reads
+    above tau (its exchanges stalled, or rounding left a passive solve
+    short) is solved again by Lawson-Hanson, which, unlike Murty's
+    single-exchange rule, cannot cycle when k > p.  W = max(x, 0);
+    ``iterations`` counts rounds, Lawson-Hanson ones included; ``residual``
+    and ``kkt`` come from one product W H - X and are scaled back exactly.
+    A fit that is not certified (``converged`` False) emits one
+    RuntimeWarning with its KKT and ``max_iter``; W is still returned.
     """
     X = require_matrix(X, "X")
     H = require_matrix(H, "H")
-    n, p = X.shape
-    k = H.shape[0]
+    (n, p), k = X.shape, H.shape[0]
     if k < 1 or H.shape[1] != p:
         raise ValueError(f"H must be k x {p} with k >= 1, got {H.shape}")
     e = _scale_exponent(H)
     X, H = (np.ldexp(X, -e), np.ldexp(H, -e)) if e else (X, H)
 
-    zero_rows = np.flatnonzero(np.linalg.norm(H, axis=1) == 0.0)
-    if zero_rows.size:
-        warnings.warn(
-            f"H has zero rows {zero_rows.tolist()}; their coefficients are forced to 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    h_norms, x_norms = np.linalg.norm(H, axis=1), np.linalg.norm(X, axis=1)
+    if (h_norms == 0.0).any():
+        zero = f"H has zero rows {np.flatnonzero(h_norms == 0.0).tolist()}"
+        warnings.warn(f"{zero}; their coefficients are forced to 0", RuntimeWarning, stacklevel=2)
 
-    C = H @ H.T
-    D = X @ H.T
+    C, D = H @ H.T, X @ H.T
     eig = np.linalg.eigvalsh(C)
     lu = eig[0] > 16.0 * k * np.finfo(np.float64).eps * eig[-1]
-    x = np.zeros((n, k))
-    passive = np.zeros((n, k), dtype=bool)
+    x, passive = np.zeros((n, k)), np.zeros((n, k), dtype=bool)
     best = np.full(n, k + 1)  # fewest infeasible indices seen, per row
     chances = np.full(n, 3)  # full exchanges left without a new best
-    todo = np.arange(n)
-    iterations = finished_at = 0  # finished_at: last Lawson-Hanson round
+    todo, iterations = np.arange(n), 0
     while True:
         xt, Dt = x[todo], D[todo]
         W = np.maximum(xt, 0.0)
-        kkt_rows = np.abs(np.minimum(W, W @ C - Dt)).max(axis=1)
-        bad = np.where(passive[todo], xt < 0.0, xt @ C - Dt < -tol)
+        tau = _stop_bound(W, x_norms[todo], h_norms, p)
+        bad = np.where(passive[todo], xt < 0.0, xt @ C - Dt < -tau)
         count = bad.sum(axis=1)
-        keep = (count > 0) & (kkt_rows > tol)
+        keep = (count > 0) & (np.abs(np.minimum(W, W @ C - Dt)) > tau).any(axis=1)
         todo, bad, count = todo[keep], bad[keep], count[keep]
         if todo.size == 0 or iterations >= max_iter:
             break
@@ -146,10 +152,7 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
         chances[todo[count < best[todo]]] = 4  # a new best restores three
         best[todo] = np.minimum(best[todo], count)
         chances[todo] -= 1
-        full = chances[todo] >= 0
-        for i in todo[~full]:
-            x[i], r = _lawson_hanson(H, X[i], tol, max_iter - iterations + 1)
-            finished_at = max(finished_at, iterations - 1 + r)
+        full = chances[todo] >= 0  # a stalled row is left to the finish below
         todo, bad = todo[full], bad[full]
         if todo.size == 0:
             break
@@ -165,17 +168,23 @@ def nnls_fit(X, H, tol: float = 1e-8, max_iter: int = 5000) -> NnlsSolution:
             x[rows] = 0.0
             x[rows[:, None], f] = xF.T
 
-    W = np.maximum(x, 0.0)
-    R = W @ H - X
+    W, its = np.maximum(x, 0.0), iterations
+    for finish in (True, False):  # rows above tau finish by Lawson-Hanson, once
+        R = W @ H - X
+        violation = np.abs(np.minimum(W, R @ H.T))
+        tau = _stop_bound(W, x_norms, h_norms, p)
+        short = np.flatnonzero((violation > tau).any(axis=1))
+        if not (finish and short.size and iterations < max_iter):
+            break
+        for i in short:
+            W[i], r = _lawson_hanson(H, X[i], h_norms, max_iter - iterations)
+            its = max(its, iterations + r)
     res, norm_x = float(np.linalg.norm(R)), float(np.linalg.norm(X))
     rel = res / (norm_x if norm_x > 0 else 1.0)
-    kkt, its = float(np.abs(np.minimum(W, R @ H.T)).max()), max(iterations, finished_at)
-    if kkt > tol:
-        warnings.warn(
-            f"NNLS stopped at KKT {math.ldexp(kkt, 2 * e):.3g} (X's units squared), above "
-            f"tol={tol:g} on X and H scaled to max|H| in [0.5, 1), after max_iter={max_iter} "
-            "iterations",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return NnlsSolution(W, math.ldexp(res, e), rel, its, kkt <= tol, math.ldexp(kkt, 2 * e))
+    kkt, worst = float(violation.max()), float((violation / (3.0 * tau)).max())
+    if worst > 1.0:
+        msg = f"NNLS stopped at KKT {math.ldexp(kkt, 2 * e):.3g} (X's units squared), "
+        msg += f"{worst:.3g} times its rounding bound at the worst entry, "
+        msg += f"after {its} of max_iter={max_iter} rounds"
+        warnings.warn(msg, RuntimeWarning, stacklevel=2)
+    return NnlsSolution(W, math.ldexp(res, e), rel, its, worst <= 1.0, math.ldexp(kkt, 2 * e))

@@ -178,7 +178,7 @@ def test_07_nnls_exact_instances():
     details = []
     for n, p, k, seed in ((120, 80, 8, 707), (500, 1000, 20, 708)):
         inst = gen_uniform_separable(n, p, k, seed=seed)
-        sol = nnls_fit(inst.X, inst.H, tol=1e-8, max_iter=5000)
+        sol = nnls_fit(inst.X, inst.H, max_iter=5000)
         ok &= (
             sol.relative_residual <= 1e-6
             and sol.kkt <= 1e-8
@@ -258,7 +258,7 @@ def test_10_group_lasso_endpoints():
         tol=1e-11,
         max_iter_per_lambda=10000,
     )
-    sol = nnls_fit(Xb, Hb, tol=1e-9, max_iter=10000)
+    sol = nnls_fit(Xb, Hb, max_iter=10000)
     f_nnls = 0.5 * float(np.linalg.norm(Xb - sol.W @ Hb)) ** 2
     rel_gap = abs(path_b.fit_objectives[-1] - f_nnls) / f_nnls
     endpoint_ok = rel_gap <= 1e-4

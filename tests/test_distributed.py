@@ -218,10 +218,10 @@ def test_contiguous_workers_do_not_copy_x():
 def test_distributed_weights_equals_serial():
     inst = gen_uniform_separable(36, 30, 5, seed=9)
     h_rows = list(inst.true_extreme_indices)
-    serial = nnls_fit(inst.X, inst.X[h_rows], tol=1e-10).W
+    serial = nnls_fit(inst.X, inst.X[h_rows]).W
     for workers in (1, 3, 4):
         part = Partition.contiguous(36, workers)
-        W = distributed_weights(inst.X, part, h_rows, tol=1e-10).W
+        W = distributed_weights(inst.X, part, h_rows).W
         assert W.tobytes() == serial.tobytes()
     rel = np.linalg.norm(inst.X - serial @ inst.X[h_rows]) / np.linalg.norm(inst.X)
     assert rel <= 1e-6
@@ -232,8 +232,8 @@ def test_distributed_weights_row_ownership():
     inst = gen_uniform_separable(24, 16, 4, seed=4)
     h_rows = [0, 1, 2, 3]
     part = Partition.contiguous(24, 4)
-    serial = nnls_fit(inst.X, inst.X[h_rows], tol=1e-10).W
-    W = distributed_weights(inst.X, part, h_rows, tol=1e-10).W
+    serial = nnls_fit(inst.X, inst.X[h_rows]).W
+    W = distributed_weights(inst.X, part, h_rows).W
     owned = part.assignment[3]
     assert W[owned].tobytes() == serial[owned].tobytes()
 

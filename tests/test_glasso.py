@@ -217,7 +217,7 @@ def test_path_endpoint_converges_to_nnls_fit():
     lam = lambda_max(X, H)
     grid = np.geomspace(lam, 1e-5 * lam, 40)
     path = solve_path(GroupLassoProblem(X, H, grid), tol=1e-12, max_iter_per_lambda=20000)
-    sol = nnls_fit(X, H, tol=1e-10)
+    sol = nnls_fit(X, H)
     f_nnls = 0.5 * np.linalg.norm(X - sol.W @ H) ** 2
     gaps = path.fit_objectives - f_nnls
     assert gaps[-1] >= -1e-9 * f_nnls

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls as scipy_nnls
 
-from archpursuit import gen_noisy_pairs, gen_uniform_separable, nnls_fit
+from archpursuit import gen_hilbert_separable, gen_noisy_pairs, gen_uniform_separable, nnls_fit
+from archpursuit.matrix_io import _scale_exponent
+from archpursuit.nnls import _stop_bound
 from paper_checks import kkt_residual
 
 
@@ -70,20 +72,39 @@ def test_capped_fit_warns_once_and_a_converged_fit_is_silent():
         capped = nnls_fit(X, H, max_iter=2)
     assert not capped.converged
     assert [w.category for w in caught] == [RuntimeWarning]
+    # The worst entry of the certificate against its bound 3 tau, on the
+    # problem scaled by 2^-e as the solver scales it.
+    e = _scale_exponent(H)
+    Xs, Hs = np.ldexp(X, -e), np.ldexp(H, -e)
+    tau = _stop_bound(capped.W, np.linalg.norm(Xs, axis=1), np.linalg.norm(Hs, axis=1), 1000)
+    worst = (np.abs(np.minimum(capped.W, (capped.W @ Hs - Xs) @ Hs.T)) / (3.0 * tau)).max()
+    assert capped.iterations == 2
     assert str(caught[0].message) == (
-        f"NNLS stopped at KKT {capped.kkt:.3g} (X's units squared), above tol=1e-08 on X "
-        "and H scaled to max|H| in [0.5, 1), after max_iter=2 iterations"
+        f"NNLS stopped at KKT {capped.kkt:.3g} (X's units squared), {worst:.3g} times its "
+        "rounding bound at the worst entry, after 2 of max_iter=2 rounds"
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert nnls_fit(X, H).converged
 
 
+def test_ill_conditioned_fit_is_certified_at_the_rounding_level():
+    # cond(H H^T) = 7.5e15 for the 8 rows glasso factorize keeps on this
+    # input; a stop at a fixed KKT bound of 1e-8 left W up to 0.43 away from
+    # the exact solve, at KKT 3.9e-8.
+    X = gen_hilbert_separable(100, 60, 10, 1).X
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = nnls_fit(X, X[:8])
+    assert sol.converged
+    assert kkt_residual(X, X[:8], sol.W) <= 1e-12
+
+
 def test_row_decomposability():
     inst = gen_uniform_separable(15, 12, 3, seed=6)
-    joint = nnls_fit(inst.X, inst.H, tol=1e-10).W
+    joint = nnls_fit(inst.X, inst.H).W
     for i in range(inst.X.shape[0]):
-        single = nnls_fit(inst.X[i : i + 1], inst.H, tol=1e-10).W
+        single = nnls_fit(inst.X[i : i + 1], inst.H).W
         assert np.abs(single[0] - joint[i]).max() <= 1e-10
 
 
@@ -91,7 +112,7 @@ def test_matches_reference_active_set_solver():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((8, 12))
     H = rng.standard_normal((5, 12))
-    sol = nnls_fit(X, H, tol=1e-10)
+    sol = nnls_fit(X, H)
     for i in range(8):
         w_ref, _ = scipy_nnls(H.T, X[i])
         assert np.abs(sol.W[i] - w_ref).max() <= 1e-6
@@ -117,16 +138,17 @@ def test_zero_h_row_warns_and_zeroes_coefficient():
 
 def test_degenerate_h_converges_in_objective():
     # Duplicate archetype rows: W is non-unique, but the fit must still match
-    # the reference solver's residual.
+    # the residual of the reference solver's own w (its reported rnorm can
+    # fall below the least-squares minimum).
     rng = np.random.default_rng(4)
     base = rng.random((2, 10))
     H = np.vstack([base, base[0]])
     X = rng.random((6, 10))
     sol = nnls_fit(X, H)
     for i in range(6):
-        _, rnorm = scipy_nnls(H.T, X[i])
+        w_ref, _ = scipy_nnls(H.T, X[i])
         mine = np.linalg.norm(X[i] - sol.W[i] @ H)
-        assert mine <= rnorm + 1e-6
+        assert mine <= np.linalg.norm(X[i] - w_ref @ H) + 1e-6
 
 
 def test_dimension_mismatch_rejected():
@@ -172,6 +194,18 @@ def _fit_quietly(X, H, **kw):
     np.vstack([np.zeros((4, 4)), [2.0, 3.0, 3.0, 3.0]]),
     np.array([[-1.0, 2, 0, 0], [-1, 2, 0, 0], [0, 0, 0, 0], [2, -2, 1, -1], [0, 0, 0, 0],
               [0, 2, -1, 0]]),
+))
+# k > p: pivoting leaves one row of each above tau, so only the
+# Lawson-Hanson finish certifies these two.
+@example(problem=(
+    np.array([[-1.0, -4, 3, 2], [1, 2, -2, -1], [1, 3, -2, -3], [-3, 0, 2, -1], [-1, 1, 3, -4]]),
+    np.array([[0.0, -3, 1, 0], [0, 0, 0, -3], [3, 3, 3, -3], [-2, 1, 0, 0], [0, 0, 0, 0],
+              [-3, -2, -2, 1], [-2, -2, 3, -2]]),
+))
+@example(problem=(
+    np.array([[-1.0, -3, -4, 3], [-2, -3, 1, 1], [-1, -3, -4, 1]]),
+    np.array([[2.0, -2, 2, 0], [-3, 0, -1, -3], [-1, 3, 2, 3], [0, 2, 3, 1], [-3, 0, -1, -3],
+              [1, -1, -2, -1]]),
 ))
 def test_fit_is_no_worse_than_the_reference_solver(problem):
     X, H = problem
@@ -230,10 +264,10 @@ def test_lu_and_lstsq_branches_agree_on_well_conditioned_h(seed, monkeypatch):
     X = _noisy_mixture(rng, 150, H)
     tol = 1e-8
     calls = _counted_solvers(monkeypatch)
-    lu = nnls_fit(X, H, tol=tol)
+    lu = nnls_fit(X, H)
     assert calls["solve"] > 0 and calls["lstsq"] == 0, calls
     monkeypatch.setattr(np.linalg, "solve", lambda A, B: np.linalg.lstsq(A, B, rcond=None)[0])
-    ref = nnls_fit(X, H, tol=tol)
+    ref = nnls_fit(X, H)
     assert calls["lstsq"] > 0
     assert lu.converged and ref.converged
     assert lu.kkt <= tol and ref.kkt <= tol
@@ -268,6 +302,7 @@ def test_singular_h_takes_the_lstsq_branch(make_h, monkeypatch):
     assert calls["solve"] == 0 and calls["lstsq"] > 0, calls
     assert sol.converged and sol.W.min() >= 0.0
     for i in range(X.shape[0]):
-        _, rnorm = scipy_nnls(H.T, X[i])
+        w_ref, _ = scipy_nnls(H.T, X[i])
+        ref = 0.5 * np.sum((X[i] - w_ref @ H) ** 2)
         mine = 0.5 * np.sum((X[i] - sol.W[i] @ H) ** 2)
-        assert mine <= 0.5 * rnorm**2 + 1e-9 * 0.5 * X[i] @ X[i]
+        assert mine <= ref + 1e-9 * 0.5 * X[i] @ X[i]
