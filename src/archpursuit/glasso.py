@@ -100,9 +100,7 @@ class GroupLassoProblem:
             raise ValueError("lambda_grid must be strictly descending and positive")
         object.__setattr__(self, "lambda_grid", grid)
         if self.H.shape[1] != self.X.shape[1]:
-            raise ValueError(
-                f"inconsistent shapes: X {self.X.shape}, H {self.H.shape}"
-            )
+            raise ValueError(f"inconsistent shapes: X {self.X.shape}, H {self.H.shape}")
 
 
 @dataclass(frozen=True)
@@ -146,12 +144,14 @@ def solve_path(
     stays entrywise non-negative exactly; a step that raises the objective
     restarts the momentum from the last accepted iterate.  A penalty that
     uses up max_iter_per_lambda iterations first is named in a
-    RuntimeWarning; its solution is the last accepted iterate.  Scaling X
-    and H by 2^s and the grid by 2^(2s) leaves both factors alone and scales
-    nothing but the objectives, and them exactly, while no entry overflows
-    or underflows.
+    RuntimeWarning; its solution is the last accepted iterate.  The solve
+    runs on X * 2^-a and H * 2^-b, a and b from ``_scale_exponent``, so H H^T
+    cannot underflow while H is nonzero; W, its norms and the objectives are
+    scaled back, and the same bits come out for any X * 2^s and H * 2^t with
+    the grid times 2^(s+t), while no entry overflows or underflows.
     """
-    X, H = prob.X, prob.H
+    a, b = _scale_exponent(prob.X), _scale_exponent(prob.H)
+    X, H = np.ldexp(prob.X, -a), np.ldexp(prob.H, -b)
     k = H.shape[0]
     HHt = H @ H.T
     XHt = X @ H.T
@@ -181,7 +181,7 @@ def solve_path(
     # Rounding-aware slack for the monotone test (see nnls.py).
     slack = 32.0 * np.finfo(np.float64).eps * xx
 
-    for gi, lam in enumerate(prob.lambda_grid):
+    for gi, lam in enumerate(np.ldexp(prob.lambda_grid, -a - b)):
         tau = lam / L
         Y, mom = W, 1.0
         F = fit + lam * float(norms.sum())
@@ -208,7 +208,7 @@ def solve_path(
         iterations[gi] = used
         gaps[gi] = _duality_gap(W, norms, lam, WHHt, XHt, fit)
         thresh = ACTIVITY_THRESHOLD * (norms.max() if norms.size else 0.0)
-        weights.append(W.copy())
+        weights.append(np.ldexp(W, a - b))
         norms_out[gi] = norms
         active_out.append(tuple(int(i) for i in np.flatnonzero(norms > thresh)))
         fit_objectives[gi] = fit
@@ -224,10 +224,10 @@ def solve_path(
     return LassoPath(
         lambdas=prob.lambda_grid.copy(),
         weights=tuple(weights),
-        group_norms=norms_out,
+        group_norms=np.ldexp(norms_out, a - b),
         active=tuple(active_out),
-        objectives=objectives,
-        fit_objectives=fit_objectives,
+        objectives=np.ldexp(objectives, 2 * a),
+        fit_objectives=np.ldexp(fit_objectives, 2 * a),
         iterations=iterations,
         gaps=gaps,
     )

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -146,13 +146,15 @@ def test_projection_idempotent_and_nonexpansive():
     arrays(np.float64, st.integers(2, 8), elements=st.floats(-1e150, 1e150)),
     st.lists(arrays(np.float64, 7, elements=st.floats(0.0, 1e3)), min_size=1, max_size=5),
 )
+@example(np.full(4, 3.69634206e-156), [np.zeros(7)])
 def test_projection_is_the_moreau_decomposition(x, rays):
     # P = P_K(x) and Q = x - P split x into orthogonal parts with P in K and
     # Q in the polar cone: <Q, z> <= 0 for every z in K.  K's extreme rays
     # are (u, 1) with u >= 0 and ||u|| = 1; the worst one for Q has u along
     # the positive part of Q's coefficients.  Rounding is relative to ||x||,
-    # with an absolute floor of the subnormal spacing; norms are taken on
-    # rescaled copies so that their squares cannot underflow.
+    # with an absolute floor of the subnormal spacing; norms and <P, Q> are
+    # taken on copies scaled by a power of two m so that their products
+    # cannot underflow.
     def norm(v):
         m = float(np.abs(v).max())
         return m * float(np.linalg.norm(v / m)) if m > 0.0 else 0.0
@@ -163,7 +165,8 @@ def test_projection_is_the_moreau_decomposition(x, rays):
     f = np.finfo(np.float64)
     scale = 4.0 * q * (f.eps * norm(x) + f.smallest_subnormal)
     assert P[:-1].min() >= 0.0 and norm(P[:-1]) <= P[-1] + scale
-    assert abs(float(P @ Q)) <= scale * norm(x)
+    m = 2.0 ** math.frexp(float(np.abs(x).max()))[1]
+    assert abs(float((P / m) @ (Q / m))) <= scale / m * (norm(x) / m)
     Z = [np.eye(q)[-1]]
     for w in (np.maximum(Q[:-1], 0.0), *(r[: q - 1] for r in rays)):
         if w.max() > 0.0:
@@ -272,6 +275,7 @@ _unit = st.floats(0.0, 1.0)
     st.floats(1e-10, 1e-1),
     st.integers(1, 60),
 )
+@example(np.ones((1, 2)), np.full((1, 5), 8.01583442e-163), 0.0625, 1)
 def test_every_uncapped_penalty_stops_within_tol(X, H, tol, cap):
     # The warning names exactly the penalties that ran out of iterations
     # without a passing gap check; every other one stopped at a check (a
